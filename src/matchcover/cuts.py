@@ -7,13 +7,16 @@ by the brace characterization (a failing 4-tuple deletion yields a
 Hall-type set S with |N(S)| = |S| + 1 whose closed neighborhood is a
 verified tight shore), nonbipartite ones by the
 3-connected-plus-bicritical brick test.  A raw exhaustive odd-shore
-scan stays available as the cross-check authority and final fallback.
+scan stays available as the cross-check authority; the certified search
+never falls back to it.  The first tight cut and the default
+decomposition are memoized per graph.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
@@ -25,7 +28,7 @@ from .matching import (
     matchable_minus,
     maximum_matching,
 )
-from .multigraph import CanonicalForm, Cut, MultiGraph, canonical_form
+from .multigraph import CanonicalForm, Cut, MultiGraph, _memoized, canonical_form
 from .structure import (
     canonical_partition,
     even_2cuts,
@@ -208,10 +211,13 @@ def _certified_leaf_or_cut(g: MultiGraph) -> Optional[Cut]:
         return _bipartite_tight_cut(g, parts)
     if vertex_connectivity(g) >= 3 and is_bicritical(g):
         return None
-    # A nonbipartite non-brick always surfaces in the earlier phases;
-    # reaching this line means an engine inconsistency, so fall through
-    # to the authority rather than guessing.
-    return exhaustive_nontrivial_tight_cut(g)
+    # Edmonds-Lovasz-Pulleyblank (1982): a nonbipartite matching covered
+    # graph with no barrier cut and no 2-separation cut is a brick, so
+    # reaching this line means an engine inconsistency.
+    raise VerificationError(
+        "tight-cut-phases",
+        "no barrier or 2-separation cut, yet not 3-connected and bicritical",
+    )
 
 
 def _require_mc(g: MultiGraph, what: str) -> None:
@@ -244,8 +250,10 @@ def exhaustive_nontrivial_tight_cut(
     return None
 
 
+@_memoized
 def find_nontrivial_tight_cut(g: MultiGraph) -> Optional[Cut]:
-    """A verified nontrivial tight cut, or None when provably none exists."""
+    """A verified nontrivial tight cut, or None when provably none
+    exists; computed once per graph."""
     _require_mc(g, "tight cut search")
     if g.n < 6:
         return None
@@ -314,7 +322,20 @@ class DecompositionResult:
     splits: tuple[SplitRecord, ...]
     b: int
     c4: int
-    leaf_forms: tuple[CanonicalForm, ...]
+
+    @cached_property
+    def leaf_forms(self) -> tuple[CanonicalForm, ...]:
+        """Sorted canonical forms of the leaves, computed on first use.
+
+        Uniqueness of the decomposition holds mod parallel edges, so the
+        forms are taken of the underlying simple graphs.
+        """
+        return tuple(
+            sorted(
+                (canonical_form(h.underlying_simple()) for h, _ in self.leaves),
+                key=lambda cf: (cf.n, cf.encoding),
+            )
+        )
 
 
 def _is_c4_up_to_multiplicity(g: MultiGraph) -> bool:
@@ -327,33 +348,9 @@ def _is_c4_up_to_multiplicity(g: MultiGraph) -> bool:
     )
 
 
-def _finish_decomposition(
-    leaves: list[tuple[MultiGraph, str]], splits: list[SplitRecord]
+def _decompose(
+    g: MultiGraph, choose: Callable[[MultiGraph], Optional[Cut]], kind: str
 ) -> DecompositionResult:
-    b = sum(1 for _, tag in leaves if tag == "brick")
-    c4 = sum(
-        1 for h, tag in leaves if tag == "brace" and _is_c4_up_to_multiplicity(h)
-    )
-    # Uniqueness of the decomposition holds mod parallel edges, so leaf
-    # forms are compared on the underlying simple graphs.
-    forms = tuple(
-        sorted(
-            (canonical_form(h.underlying_simple()) for h, _ in leaves),
-            key=lambda cf: (cf.n, cf.encoding),
-        )
-    )
-    return DecompositionResult(tuple(leaves), tuple(splits), b, c4, forms)
-
-
-def tight_cut_decomposition(
-    g: MultiGraph,
-    chooser: Callable[[MultiGraph], Optional[Cut]] | None = None,
-) -> DecompositionResult:
-    """Split recursively along nontrivial tight cuts until every leaf is
-    a brick or brace.  The leaf multiset is independent of the chooser;
-    the splits themselves are not."""
-    _require_mc(g, "tight cut decomposition")
-    choose = chooser if chooser is not None else find_nontrivial_tight_cut
     leaves: list[tuple[MultiGraph, str]] = []
     splits: list[SplitRecord] = []
 
@@ -367,7 +364,7 @@ def tight_cut_decomposition(
                 tuple(sorted(cut.shore)),
                 tuple(sorted(cut.other_shore)),
                 tuple(sorted(cut.edges)),
-                "tight",
+                kind,
             )
         )
         g1, g2 = contractions(h, cut)
@@ -375,7 +372,30 @@ def tight_cut_decomposition(
         run(g2)
 
     run(g)
-    return _finish_decomposition(leaves, splits)
+    b = sum(1 for _, tag in leaves if tag == "brick")
+    c4 = sum(
+        1 for h, tag in leaves if tag == "brace" and _is_c4_up_to_multiplicity(h)
+    )
+    return DecompositionResult(tuple(leaves), tuple(splits), b, c4)
+
+
+def tight_cut_decomposition(
+    g: MultiGraph,
+    chooser: Callable[[MultiGraph], Optional[Cut]] | None = None,
+) -> DecompositionResult:
+    """Split recursively along nontrivial tight cuts until every leaf is
+    a brick or brace.  The leaf multiset is independent of the chooser;
+    the splits themselves are not.  With the default chooser the result
+    is computed once per graph."""
+    _require_mc(g, "tight cut decomposition")
+    if chooser is None:
+        return _first_cut_decomposition(g)
+    return _decompose(g, chooser, "tight")
+
+
+@_memoized
+def _first_cut_decomposition(g: MultiGraph) -> DecompositionResult:
+    return _decompose(g, find_nontrivial_tight_cut, "tight")
 
 
 def nontrivial_separating_cut(
@@ -411,28 +431,7 @@ def separating_cut_decomposition(g: MultiGraph) -> DecompositionResult:
     braces and solid bricks.  The leaf list is legitimately not unique,
     so the applied cut sequence is part of the result."""
     _require_mc(g, "separating cut decomposition")
-    leaves: list[tuple[MultiGraph, str]] = []
-    splits: list[SplitRecord] = []
-
-    def run(h: MultiGraph) -> None:
-        cut = nontrivial_separating_cut(h)
-        if cut is None:
-            leaves.append((h, "brace" if h.is_bipartite else "brick"))
-            return
-        splits.append(
-            SplitRecord(
-                tuple(sorted(cut.shore)),
-                tuple(sorted(cut.other_shore)),
-                tuple(sorted(cut.edges)),
-                "separating",
-            )
-        )
-        g1, g2 = contractions(h, cut)
-        run(g1)
-        run(g2)
-
-    run(g)
-    return _finish_decomposition(leaves, splits)
+    return _decompose(g, nontrivial_separating_cut, "separating")
 
 
 # -- classification ----------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .errors import DomainError
 from .matching import has_pm_containing, is_matching_covered
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, _memoized
 
 
 def depends_on(g: MultiGraph, e: int, f: int) -> bool:
@@ -53,8 +53,10 @@ class EquivalencePartition:
         return len(self.classes)
 
 
+@_memoized
 def equivalence_partition(g: MultiGraph) -> EquivalencePartition:
-    """The partition of E(g) into mutual-dependence classes.
+    """The partition of E(g) into mutual-dependence classes, computed
+    once per graph.
 
     O(m^2) pairwise tests joined by union-find; pairs already joined
     transitively are skipped.

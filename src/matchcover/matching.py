@@ -2,51 +2,50 @@
 
 Two engines sit behind every predicate:
 
-* a memoized subset DP for graphs on at most 16 vertices (one memo per
-  graph instance, shared by all vertex-deletion queries against it);
+* a memoized subset DP for graphs on at most 16 vertices (its table
+  lives in the graph's per-graph memo, shared by all vertex-deletion
+  queries against that graph);
 * an augmenting-path maximum-matching search with blossom shrinking for
   anything larger.
 
 Parallel edges are collapsed for the engines (a matching never needs two
-parallel edges) and answers are lifted back to edge ids.
+parallel edges) and answers are lifted back to edge ids.  The simple
+adjacency lists and the matching-covered verdict are memoized per graph
+the same way.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Iterable, Optional
-from weakref import WeakKeyDictionary
+from typing import Iterable
 
 from .errors import CapabilityError, DomainError
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, _memoized
 
 BITMASK_LIMIT = 16
 DEFAULT_PM_BUDGET = 100_000
 BUDGET_ENV_VAR = "MATCHCOVER_BUDGET"
 
-_adjacency_cache: "WeakKeyDictionary[MultiGraph, dict[int, tuple[int, ...]]]" = WeakKeyDictionary()
-_dp_cache: "WeakKeyDictionary[MultiGraph, tuple[dict[int, int], list[int], dict[int, bool]]]" = WeakKeyDictionary()
-_mc_cache: "WeakKeyDictionary[MultiGraph, bool]" = WeakKeyDictionary()
-
 
 def pm_budget() -> int:
-    """Enumeration budget; the environment variable overrides the default."""
+    """Enumeration budget; the environment variable overrides the default
+    and must be a positive integer."""
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_PM_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        return DEFAULT_PM_BUDGET
+        budget = None
+    if budget is None or budget < 1:
+        raise DomainError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
+    return budget
 
 
+@_memoized
 def _simple_adjacency(g: MultiGraph) -> dict[int, tuple[int, ...]]:
-    adj = _adjacency_cache.get(g)
-    if adj is None:
-        adj = {v: g.neighbors(v) for v in g.vertices}
-        _adjacency_cache[g] = adj
-    return adj
+    return {v: g.neighbors(v) for v in g.vertices}
 
 
 # -- blossom engine ---------------------------------------------------------
@@ -160,17 +159,14 @@ def maximum_matching(g: MultiGraph) -> frozenset[int]:
 # -- matchability oracle ----------------------------------------------------
 
 
+@_memoized
 def _dp_state(g: MultiGraph) -> tuple[dict[int, int], list[int], dict[int, bool]]:
-    state = _dp_cache.get(g)
-    if state is None:
-        index = {v: i for i, v in enumerate(g.vertices)}
-        masks = [0] * g.n
-        for v, nbrs in _simple_adjacency(g).items():
-            for w in nbrs:
-                masks[index[v]] |= 1 << index[w]
-        state = (index, masks, {0: True})
-        _dp_cache[g] = state
-    return state
+    index = {v: i for i, v in enumerate(g.vertices)}
+    masks = [0] * g.n
+    for v, nbrs in _simple_adjacency(g).items():
+        for w in nbrs:
+            masks[index[v]] |= 1 << index[w]
+    return index, masks, {0: True}
 
 
 def _matchable_mask(mask: int, masks: list[int], memo: dict[int, bool]) -> bool:
@@ -242,19 +238,15 @@ def is_admissible(g: MultiGraph, e: int) -> bool:
     return has_pm_containing(g, (e,))
 
 
+@_memoized
 def is_matching_covered(g: MultiGraph) -> bool:
     """Connected, order >= 2, and every edge admissible."""
-    cached = _mc_cache.get(g)
-    if cached is not None:
-        return cached
-    ok = (
+    return (
         g.n >= 2
         and g.n % 2 == 0
         and g.is_connected
         and all(has_pm_containing(g, (e,)) for e in g.edge_ids)
     )
-    _mc_cache[g] = ok
-    return ok
 
 
 # -- perfect matching enumeration -------------------------------------------
@@ -301,48 +293,3 @@ def enumerate_pms(g: MultiGraph, budget: int | None = None) -> list[frozenset[in
     recurse()
     return results
 
-
-# -- bipartite inadmissibility witness ---------------------------------------
-
-WITNESS_SIDE_LIMIT = 20
-
-
-def bip_inadmissibility_witness(g: MultiGraph, e: int) -> Optional[frozenset[int]]:
-    """For bipartite matchable ``g``: a Hall-type certificate that ``e`` is
-    inadmissible, or None when ``e`` is admissible.
-
-    The certificate is the smallest S inside the color class A (the side
-    holding the smaller end of each component) with |N(S)| = |S|, e's
-    B-end in N(S), and e's A-end outside S; removing such an S's
-    neighborhood strands S, so no perfect matching can spare all of N(S)
-    for e.
-    """
-    parts = g.bipartition()
-    if parts is None:
-        raise DomainError("witness search needs a bipartite graph")
-    if not g.has_edge_id(e):
-        raise DomainError(f"unknown edge id {e}")
-    if has_pm_containing(g, (e,)):
-        return None
-    a_side, _ = parts
-    u, v = g.endpoints(e)
-    a_end, b_end = (u, v) if u in a_side else (v, u)
-    pool = sorted(a_side - {a_end})
-    if len(pool) > WITNESS_SIDE_LIMIT:
-        raise CapabilityError(
-            f"witness search limited to |A| <= {WITNESS_SIDE_LIMIT}"
-        )
-    adj = _simple_adjacency(g)
-    from itertools import combinations
-
-    for size in range(1, len(pool) + 1):
-        for combo in combinations(pool, size):
-            nbhd = set()
-            for x in combo:
-                nbhd.update(adj[x])
-            if len(nbhd) == size and b_end in nbhd:
-                return frozenset(combo)
-    raise DomainError(
-        "no witness found: the graph is not matchable, so the "
-        "certificate theory does not apply"
-    )

@@ -6,11 +6,14 @@ edges.  All values are immutable: every operation returns a new graph.
 
 The text format (used by the CLI) is::
 
-    # optional comment lines
+    c or # comment lines (skipped)
     p <numVertices> <numEdges>
     e <u> <v>          (1-indexed; repeated lines create parallel edges)
 
-``parse_graph`` / ``format_graph`` round-trip bit-exactly.
+``format_graph`` output parses and formats back to the same bytes.
+
+Derived results that depend only on the graph are memoized on the graph
+itself (``_memoized``); immutability means they never go stale.
 """
 
 from __future__ import annotations
@@ -18,13 +21,30 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections import deque
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from functools import cached_property, wraps
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .errors import CapabilityError, DomainError, ParseError
 
 CANON_VERTEX_LIMIT = 24
 _CANON_NODE_BUDGET = 500_000
+
+_T = TypeVar("_T")
+
+
+def _memoized(fn: Callable[["MultiGraph"], _T]) -> Callable[["MultiGraph"], _T]:
+    """Cache ``fn(g)`` in ``g._memo``, keyed by ``fn``; the one per-graph
+    cache.  A call that raises caches nothing, so it raises again."""
+
+    @wraps(fn)
+    def wrapper(g: "MultiGraph") -> _T:
+        try:
+            return g._memo[fn]
+        except KeyError:
+            value = g._memo[fn] = fn(g)
+            return value
+
+    return wrapper
 
 
 class MultiGraph:
@@ -112,6 +132,7 @@ class MultiGraph:
         self.edge_labels: dict[int, str] = {
             e: s for e, s in (edge_labels or {}).items() if e in norm
         }
+        self._memo: dict[Callable, object] = {}
 
     # -- basic accessors ------------------------------------------------
 
@@ -195,19 +216,6 @@ class MultiGraph:
             vertex_labels=self.vertex_labels, edge_labels=elabels,
         )
         return g, e
-
-    def add_vertex(self, v: int | None = None) -> tuple["MultiGraph", int]:
-        if v is None:
-            v = self._next_vertex
-        elif v in self._vset:
-            raise DomainError(f"vertex id {v} already present")
-        g = MultiGraph.with_ids(
-            self._vertices + (v,), self._endpoints,
-            next_vertex_id=max(self._next_vertex, v + 1),
-            next_edge_id=self._next_edge,
-            vertex_labels=self.vertex_labels, edge_labels=self.edge_labels,
-        )
-        return g, v
 
     def delete_edges(self, ids: Iterable[int]) -> "MultiGraph":
         drop = set(ids)
@@ -330,6 +338,7 @@ class MultiGraph:
     def odd_components_count(self, removed: Iterable[int] = ()) -> int:
         return sum(1 for comp in self.components(removed) if len(comp) % 2 == 1)
 
+    @_memoized
     def bipartition(self) -> Optional[tuple[frozenset[int], frozenset[int]]]:
         """2-coloring as (A, B), or None if an odd cycle exists.
 
@@ -522,9 +531,9 @@ def parse_graph(text: str) -> MultiGraph:
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
         fields = line.split()
+        if not fields or line.startswith("#") or fields[0] == "c":
+            continue
         if fields[0] == "p":
             if n is not None:
                 raise ParseError("duplicate p line", lineno)

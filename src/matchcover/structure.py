@@ -1,5 +1,6 @@
 """Barriers, the canonical partition, bicriticality, even 2-cuts, and
-vertex connectivity."""
+vertex connectivity.  The partition, the even 2-cuts and the
+connectivity are memoized per graph."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import Iterable
 
 from .errors import DomainError, VerificationError
 from .matching import is_matching_covered, matchable_minus
-from .multigraph import Cut, MultiGraph
+from .multigraph import Cut, MultiGraph, _memoized
 
 
 def is_barrier(g: MultiGraph, vertex_set: Iterable[int]) -> bool:
@@ -20,6 +21,7 @@ def is_barrier(g: MultiGraph, vertex_set: Iterable[int]) -> bool:
     return g.odd_components_count(b) == len(b)
 
 
+@_memoized
 def canonical_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
     """The partition of V(g) into maximal barriers.
 
@@ -66,8 +68,14 @@ def even_2cuts(g: MultiGraph) -> list[Cut]:
     """All 2-edge cuts {e, f} with nonadjacent edges and two even shores.
 
     Each is returned as the Cut of the shore holding the lower minimum
-    vertex id.  Results are ordered by the pair's edge ids.
+    vertex id.  Results are ordered by the pair's edge ids.  The list is
+    the caller's own; the cuts are computed once per graph.
     """
+    return list(_even_2cuts(g))
+
+
+@_memoized
+def _even_2cuts(g: MultiGraph) -> tuple[Cut, ...]:
     out: list[Cut] = []
     ids = g.edge_ids
     for i, e in enumerate(ids):
@@ -87,7 +95,7 @@ def even_2cuts(g: MultiGraph) -> list[Cut]:
                 continue
             shore = first if min(first) < min(second) else second
             out.append(g.cut(shore))
-    return out
+    return tuple(out)
 
 
 # -- vertex connectivity -----------------------------------------------------
@@ -142,6 +150,7 @@ def _local_vertex_connectivity(
         flow += 1
 
 
+@_memoized
 def vertex_connectivity(g: MultiGraph) -> int:
     """kappa(g): parallel edges collapse; disconnected graphs give 0, K2 gives 1."""
     n = g.n

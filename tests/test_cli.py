@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +238,20 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "epsilon: 3" in proc.stdout
+
+
+GOLDEN_ANALYZE = json.loads((Path(__file__).parent / "golden_analyze.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYZE))
+def test_analyze_decompose_report_is_unchanged(capsys, name):
+    code, out, _ = run(capsys, "analyze", name, "--json", "--decompose")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ANALYZE[name]
+
+
+def test_analyze_k66_needs_no_canonical_form(capsys):
+    code, out, _ = run(capsys, "analyze", "K6,6", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["b"], report["c4"], report["classification"]) == (0, 0, "brace")

@@ -103,6 +103,16 @@ def test_budget_env_override(monkeypatch):
     assert pm_budget() == 7
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_bad_budget_env_is_rejected(monkeypatch, raw):
+    from matchcover.errors import DomainError
+    from matchcover.matching import pm_budget
+
+    monkeypatch.setenv("MATCHCOVER_BUDGET", raw)
+    with pytest.raises(DomainError, match="MATCHCOVER_BUDGET"):
+        pm_budget()
+
+
 @pytest.mark.parametrize("g", corpus_params())
 def test_corpus_matching_covered(g):
     assert is_matching_covered(g)

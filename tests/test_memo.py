@@ -1,0 +1,93 @@
+"""The per-graph memo: shared results, fresh mutable answers, lazy leaf
+forms, and no repeated invariant work inside one analysis."""
+
+import sys
+from collections import Counter
+
+import pytest
+
+import matchcover
+import matchcover.cuts
+from matchcover.cli import build_analysis
+from matchcover.cuts import (
+    _first_cut_decomposition,
+    classify,
+    find_nontrivial_tight_cut,
+    tight_cut_decomposition,
+    verify_bounds,
+)
+from matchcover.dependence import equivalence_partition
+from matchcover.errors import CapabilityError, DomainError, VerificationError
+from matchcover.generators import named_graph
+from matchcover.multigraph import MultiGraph
+from matchcover.structure import _even_2cuts, even_2cuts
+
+
+def test_equivalence_partition_is_shared():
+    g = named_graph("prism4")
+    assert equivalence_partition(g) is equivalence_partition(g)
+
+
+def test_even_2cuts_returns_a_fresh_list():
+    g = named_graph("C8")
+    first = even_2cuts(g)
+    expected = list(first)
+    assert expected
+    first.clear()
+    assert even_2cuts(g) == expected
+
+
+def test_errors_are_not_cached():
+    g = MultiGraph(4, [(1, 2), (2, 3), (3, 4)])  # edge 2 is in no perfect matching
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            equivalence_partition(g)
+
+
+def test_leaf_forms_are_computed_only_on_demand(monkeypatch):
+    def refuse(_):
+        raise CapabilityError("canonical form called")
+
+    monkeypatch.setattr(matchcover.cuts, "canonical_form", refuse)
+    g = named_graph("fig2c")
+    assert verify_bounds(g)["b"] == 1
+    assert classify(g) == "neither"
+    result = tight_cut_decomposition(g)
+    assert result.b == 1
+    with pytest.raises(CapabilityError, match="canonical form called"):
+        result.leaf_forms
+
+
+def test_build_analysis_computes_each_invariant_once():
+    g = named_graph("fig2c")
+    bodies = {
+        fn.__wrapped__.__code__: fn.__name__
+        for fn in (equivalence_partition, _even_2cuts, _first_cut_decomposition)
+    }
+    runs: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in bodies and frame.f_locals.get("g") is g:
+            runs[bodies[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        _, code = build_analysis(g, "fig2c", "", decompose=True)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert runs == {name: 1 for name in bodies.values()}
+
+
+def test_unreachable_cut_phase_raises(monkeypatch):
+    # Pretend the brick test fails on a brick: the certified search must
+    # refuse loudly rather than fall back to an exhaustive scan.
+    monkeypatch.setattr(matchcover.cuts, "is_bicritical", lambda g: False)
+    with pytest.raises(VerificationError) as info:
+        find_nontrivial_tight_cut(named_graph("petersen"))
+    assert info.value.check == "tight-cut-phases"
+
+
+def test_vertex_connectivity_is_exported():
+    assert "vertex_connectivity" in matchcover.__all__
+    assert matchcover.vertex_connectivity(named_graph("K4")) == 3

@@ -120,6 +120,15 @@ def test_format_parse_round_trip_bit_exact():
     assert format_graph(parse_graph(text)) == text
 
 
+def test_c_lines_are_comments():
+    g = parse_graph("c a comment\np 3 2\nc another\ne 2 1\n# hash comment\ne 2 3\n")
+    assert (g.n, g.m) == (3, 2)
+    assert g.endpoints(1) == (1, 2)
+    text = format_graph(g)
+    assert text == "p 3 2\ne 1 2\ne 2 3\n"
+    assert format_graph(parse_graph(text)) == text
+
+
 @pytest.mark.parametrize("g", corpus_params())
 def test_round_trip_canonical_form(g):
     h = parse_graph(format_graph(g))
