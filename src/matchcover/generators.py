@@ -193,13 +193,10 @@ class ConstructionTrace:
     u_vertices: tuple[int, ...]  # u_i, block-local
     copy_a: tuple[frozenset[int], ...]  # A_1 .. A_q
     copy_b: tuple[frozenset[int], ...]  # B_1 .. B_q
-    block_u: tuple[frozenset[int], ...]  # U_i, block-local
-    block_v: tuple[frozenset[int], ...]  # V_i, block-local
     block_u_mapped: tuple[frozenset[int], ...]  # U_i - u_i, ids in G_i
     block_v_mapped: tuple[frozenset[int], ...]  # V_i, ids in G_i
     f_local: tuple[int, ...]  # f_i in block-local ids
     pi_maps: tuple[dict, ...]
-    a0: frozenset[int]
     b0: frozenset[int]
     misrouted: bool = False
 
@@ -362,13 +359,10 @@ def build_high_kappa_epsilon(
         u_vertices=tuple(u_local for _ in range(1, q)),
         copy_a=copy_a,
         copy_b=copy_b,
-        block_u=tuple(u_set_local for _ in range(1, q)),
-        block_v=tuple(v_set_local for _ in range(1, q)),
         block_u_mapped=tuple(block_u_mapped),
         block_v_mapped=tuple(block_v_mapped),
         f_local=tuple(f_local),
         pi_maps=tuple(pi_maps),
-        a0=frozenset().union(*copy_a),
         b0=frozenset().union(*copy_b),
         misrouted=misroute,
     )
@@ -496,13 +490,13 @@ def verify_trace(t: ConstructionTrace) -> dict:
         "sizing",
         lambda: (final.n == expected_n, f"|V| = {final.n}, expected {expected_n}"),
     )
-    check(
-        "connectivity",
-        lambda: (
-            vertex_connectivity(final) >= t.p,
-            f"kappa = {vertex_connectivity(final)}, need >= {t.p}",
-        ),
-    )
+
+    def connectivity():
+        kappa = vertex_connectivity(final)
+        return kappa >= t.p, f"kappa = {kappa}, need >= {t.p}"
+
+    check("connectivity", connectivity)
+
     f_all = frozenset(t.f_edges)
     check(
         "epsilon",

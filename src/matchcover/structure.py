@@ -1,6 +1,8 @@
 """Barriers, the canonical partition, bicriticality, even 2-cuts, and
 vertex connectivity.  The partition, the even 2-cuts and the
-connectivity are memoized per graph."""
+connectivity are memoized per graph.  Connectivity follows Even's
+scheme: at most (kappa+1)*n unit-capacity flows on one vertex-split
+array network, each capped at the least value found so far."""
 
 from __future__ import annotations
 
@@ -101,72 +103,103 @@ def _even_2cuts(g: MultiGraph) -> tuple[Cut, ...]:
 # -- vertex connectivity -----------------------------------------------------
 
 
-def _local_vertex_connectivity(
-    index: dict[int, int], adj: dict[int, tuple[int, ...]], s: int, t: int, n: int
-) -> int:
-    # Max flow from s_out to t_in on the vertex-split network: node v
-    # becomes v_in (2i) -> v_out (2i+1) with capacity 1; each edge uv
-    # becomes u_out -> v_in and v_out -> u_in with effectively unbounded
-    # capacity, so min cuts consist of internal vertex arcs only.
-    big = n + 1
-    cap: dict[tuple[int, int], int] = {}
-    graph: dict[int, list[int]] = {}
+def _split_network(
+    nbrs: list[list[int]],
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """The vertex-split flow network of the graph on vertices 0 .. n-1
+    whose neighbour lists are ``nbrs``, as flat arc arrays.
+
+    Vertex i becomes v_in (node 2i) -> v_out (node 2i+1) with capacity 1;
+    each adjacent pair {u, v} becomes u_out -> v_in and v_out -> u_in
+    with capacity n, so minimum cuts use vertex arcs only.  Arc k runs to
+    ``head[k]`` with capacity ``cap[k]``; its residual partner is arc
+    ``k ^ 1``; ``arcs[x]`` lists the arcs leaving node x.
+    """
+    n = len(nbrs)
+    head: list[int] = []
+    cap: list[int] = []
+    arcs: list[list[int]] = [[] for _ in range(2 * n)]
 
     def arc(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = cap.get((b, a), 0)
-            graph.setdefault(a, []).append(b)
-            graph.setdefault(b, []).append(a)
-        cap[(a, b)] += c
+        arcs[a].append(len(head))
+        head.append(b)
+        cap.append(c)
+        arcs[b].append(len(head))
+        head.append(a)
+        cap.append(0)
 
-    for v, i in index.items():
+    for i in range(n):
         arc(2 * i, 2 * i + 1, 1)
-    for v, nbrs in adj.items():
-        for w in nbrs:
-            arc(2 * index[v] + 1, 2 * index[w], big)
-    source, sink = 2 * index[s] + 1, 2 * index[t]
+    for i, row in enumerate(nbrs):
+        for j in row:
+            arc(2 * i + 1, 2 * j, n)
+    return head, cap, arcs
+
+
+def _capped_flow(
+    head: list[int],
+    cap0: list[int],
+    arcs: list[list[int]],
+    source: int,
+    sink: int,
+    limit: int,
+) -> int:
+    """min(limit, max flow from source to sink), one BFS augmenting path
+    at a time on a copy of the capacities."""
+    cap = cap0[:]
     flow = 0
-    while True:
-        # BFS for an augmenting path in the residual network.
-        prev: dict[int, int] = {source: source}
+    while flow < limit:
+        via = [-1] * len(arcs)
+        via[source] = -2
         queue = [source]
-        while queue and sink not in prev:
-            nxt: list[int] = []
-            for a in queue:
-                for b in graph.get(a, ()):
-                    if b not in prev and cap.get((a, b), 0) > 0:
-                        prev[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if sink not in prev:
+        for a in queue:
+            for k in arcs[a]:
+                b = head[k]
+                if via[b] == -1 and cap[k]:
+                    via[b] = k
+                    queue.append(b)
+            if via[sink] != -1:
+                break
+        else:
             return flow
         b = sink
         while b != source:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
+            k = via[b]
+            cap[k] -= 1
+            cap[k ^ 1] += 1
+            b = head[k ^ 1]
         flow += 1
+    return flow
 
 
 @_memoized
 def vertex_connectivity(g: MultiGraph) -> int:
-    """kappa(g): parallel edges collapse; disconnected graphs give 0, K2 gives 1."""
+    """kappa(g): parallel edges collapse; disconnected graphs give 0, K2 gives 1.
+
+    Even's scheme: with vertices v_1 .. v_n and ``best`` the least local
+    connectivity found so far (n - 1 to start), run flows from v_1, v_2,
+    ... in turn, each to the later vertices not adjacent to it, while
+    fewer than ``best`` sources are done; each flow stops at ``best``
+    augmenting paths, as a larger one cannot lower the minimum.  Some
+    v_i among v_1 .. v_{kappa+1} lies outside a minimum separator S; for
+    the least such i, v_1 .. v_{i-1} lie in S, so the far side of S holds
+    some later v_j, not adjacent to v_i, and that pair's flow is kappa.
+    So at most kappa+1 sources and (kappa+1)*n flows are needed.
+    """
     n = g.n
     if n <= 1 or not g.is_connected:
         return 0
-    adj = {v: g.neighbors(v) for v in g.vertices}
-    if all(len(adj[v]) == n - 1 for v in g.vertices):
-        return n - 1
     index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [[index[w] for w in g.neighbors(v)] for v in g.vertices]
+    if all(len(row) == n - 1 for row in nbrs):
+        return n - 1
+    head, cap, arcs = _split_network(nbrs)
     best = n - 1
-    verts = g.vertices
-    for i, s in enumerate(verts):
-        for t in verts[i + 1:]:
-            if t in adj[s]:
-                continue
-            best = min(best, _local_vertex_connectivity(index, adj, s, t, n))
-            if best == 0:
-                return 0
+    i = 0
+    while i < best:
+        adjacent = set(nbrs[i])
+        for j in range(i + 1, n):
+            if j not in adjacent:
+                best = min(best, _capped_flow(head, cap, arcs, 2 * i + 1, 2 * j, best))
+        i += 1
     return best

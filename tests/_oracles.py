@@ -111,3 +111,30 @@ def odd_cuts_with_small_shore(g: MultiGraph, max_shore: int):
                 for e in g.edge_ids
                 if len(set(g.endpoints(e)) & set(shore)) == 1
             )
+
+
+def brute_vertex_connectivity(g: MultiGraph) -> int:
+    """Size of the smallest vertex set S for which g - S is disconnected
+    or has at most one vertex, by enumerating subsets by size."""
+    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for e in g.edge_ids:
+        u, v = g.endpoints(e)
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def separates(removed: frozenset[int]) -> bool:
+        rest = [v for v in g.vertices if v not in removed]
+        if len(rest) <= 1:
+            return True
+        seen = {rest[0]}
+        stack = [rest[0]]
+        while stack:
+            for w in adj[stack.pop()] - removed - seen:
+                seen.add(w)
+                stack.append(w)
+        return len(seen) < len(rest)
+
+    for k in range(g.n + 1):
+        if any(separates(frozenset(s)) for s in combinations(g.vertices, k)):
+            return k
+    return g.n

@@ -84,6 +84,21 @@ def random_splice(rng: random.Random, g1: MultiGraph, g2: MultiGraph) -> MultiGr
     return splice(SpliceSpec(g1, v1, g2, v2, dict(zip(star1, star2)))).graph
 
 
+def sparse_mc_graphs(n: int, count: int = 3) -> list[MultiGraph]:
+    """Seeded sparse matching covered graphs on n vertices: `count` from
+    random_mc_graph (these come out bipartite) and `count` splices of one
+    with a small brick (non-bipartite, with nontrivial barriers)."""
+    rng = random.Random(100 * n)
+    graphs = [random_mc_graph(rng, n, rng.randrange(4, 12)) for _ in range(count)]
+    while len(graphs) < 2 * count:
+        brick = named_graph(rng.choice(("K4", "prism3", "C6bar", "W5")))
+        g = random_mc_graph(rng, n + 2 - brick.n, rng.randrange(4, 12))
+        spliced = random_splice(rng, g, brick)
+        if spliced is not None:
+            graphs.append(spliced)
+    return graphs
+
+
 def build_corpus() -> list[tuple[str, MultiGraph]]:
     graphs: list[tuple[str, MultiGraph]] = [(name, named_graph(name)) for name in NAMED]
     graphs.append(("C4+parallel", _doubled("C4", 1)))

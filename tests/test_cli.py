@@ -228,13 +228,20 @@ def test_no_arguments_exits_one(capsys):
 
 
 def test_console_script_entry_point():
+    import os
     import subprocess
     import sys
 
+    import matchcover
+
+    # the child imports the same matchcover as this process, installed or not
+    src = str(Path(matchcover.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "matchcover.cli", "analyze", "C6"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "epsilon: 3" in proc.stdout

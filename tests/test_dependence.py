@@ -17,11 +17,11 @@ from matchcover.dependence import (
 )
 from matchcover.errors import DomainError
 from matchcover.generators import labeled_edge, named_graph
-from matchcover.matching import is_matching_covered
+from matchcover.matching import BITMASK_LIMIT, is_matching_covered
 from matchcover.multigraph import MultiGraph
 
 from _oracles import incidence_partition
-from conftest import corpus_params, random_mc_graph
+from conftest import corpus_params, random_mc_graph, sparse_mc_graphs
 
 
 def test_depends_on_cycle():
@@ -97,6 +97,14 @@ def test_partition_covers_edges_once(g):
     eq = equivalence_partition(g)
     flat = sorted(e for c in eq for e in c)
     assert flat == sorted(g.edge_ids)
+
+
+@pytest.mark.parametrize("n", (18, 20))
+def test_partition_agrees_with_enumeration_past_bitmask_limit(n):
+    # the blossom engine answers every query on these graphs
+    for g in sparse_mc_graphs(n):
+        assert g.n == n > BITMASK_LIMIT
+        assert tuple(sorted(equivalence_partition(g), key=min)) == incidence_partition(g)
 
 
 def test_removable_edges_k2_rejected():

@@ -1,11 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcover.generators import named_graph
-from matchcover.matching import enumerate_pms
+from matchcover import structure
+from matchcover.generators import build_high_kappa_epsilon, named_graph
+from matchcover.matching import BITMASK_LIMIT, enumerate_pms
 from matchcover.multigraph import MultiGraph
 from matchcover.structure import (
     canonical_partition,
@@ -15,7 +17,8 @@ from matchcover.structure import (
     vertex_connectivity,
 )
 
-from conftest import corpus_params
+from _oracles import brute_vertex_connectivity
+from conftest import corpus_params, sparse_mc_graphs
 
 
 def test_is_barrier_basics():
@@ -71,6 +74,23 @@ def test_barriers_via_pm_counting():
         assert len(pm) == g.n // 2
 
 
+@pytest.mark.parametrize("n", (18, 20))
+def test_canonical_partition_agrees_with_networkx_past_bitmask_limit(n):
+    # u and v share a maximal barrier iff g - u - v has no perfect matching
+    nx = pytest.importorskip("networkx")
+    for g in sparse_mc_graphs(n):
+        assert g.n == n > BITMASK_LIMIT
+        h = nx.Graph(g.endpoints(e) for e in g.edge_ids)
+        together = {v: {v} for v in g.vertices}
+        for u, v in combinations(g.vertices, 2):
+            rest = h.subgraph(set(h) - {u, v})
+            if 2 * len(nx.max_weight_matching(rest, maxcardinality=True)) < n - 2:
+                together[u].add(v)
+                together[v].add(u)
+        parts = sorted({frozenset(c) for c in together.values()}, key=min)
+        assert tuple(parts) == canonical_partition(g)
+
+
 def test_is_bicritical():
     assert is_bicritical(named_graph("K4"))
     assert is_bicritical(named_graph("C6bar"))
@@ -115,6 +135,67 @@ def test_vertex_connectivity_parallel_edges_do_not_help():
     g = MultiGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
     doubled, _ = g.add_edge(1, 2)
     assert vertex_connectivity(doubled) == 2
+
+
+def _random_simple_graph(rng: random.Random, n: int, p: float, doubled: float = 0.0):
+    edges = []
+    for u, v in combinations(range(1, n + 1), 2):
+        if rng.random() < p:
+            edges.append((u, v))
+            if rng.random() < doubled:
+                edges.append((u, v))
+    return MultiGraph(n, edges)
+
+
+def test_vertex_connectivity_small_cases():
+    cases = [
+        MultiGraph(1),
+        MultiGraph(2, [(1, 2)]),
+        MultiGraph(2, [(1, 2), (1, 2)]),
+        MultiGraph(2),
+        MultiGraph(5, [(1, 2), (2, 3), (4, 5)]),
+        MultiGraph(5, [(1, 2), (1, 2), (2, 3), (3, 1), (4, 5), (4, 5)]),
+    ] + [MultiGraph(n, combinations(range(1, n + 1), 2)) for n in range(3, 8)]
+    expected = [0, 1, 1, 0, 0, 0, 2, 3, 4, 5, 6]
+    assert [vertex_connectivity(g) for g in cases] == expected
+    assert [brute_vertex_connectivity(g) for g in cases] == expected
+
+
+def test_vertex_connectivity_agrees_with_brute_force():
+    rng = random.Random(20261017)
+    for _ in range(200):
+        g = _random_simple_graph(rng, rng.randint(1, 9), rng.uniform(0.3, 1.0), 0.2)
+        assert vertex_connectivity(g) == brute_vertex_connectivity(g), g.edge_ids
+
+
+def test_vertex_connectivity_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(7)
+    graphs = [build_high_kappa_epsilon(p, q).final for p, q in ((3, 4), (4, 4))] + [
+        _random_simple_graph(rng, n, p)
+        for n, p in ((16, 0.3), (24, 0.25), (32, 0.2), (48, 0.15), (64, 0.12))
+    ]
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.endpoints(e) for e in g.edge_ids)
+        assert vertex_connectivity(g) == nx.node_connectivity(h), g.n
+
+
+def test_vertex_connectivity_runs_at_most_kappa_plus_one_times_n_flows(monkeypatch):
+    g = build_high_kappa_epsilon(4, 4).final  # a new graph, so nothing is memoized yet
+    flows = []
+    capped_flow = structure._capped_flow
+
+    def counted(*args):
+        flows.append(args[3:5])
+        return capped_flow(*args)
+
+    monkeypatch.setattr(structure, "_capped_flow", counted)
+    kappa = vertex_connectivity(g)
+    assert kappa == 5
+    assert len(flows) <= (kappa + 1) * g.n
+    assert len(flows) == len(set(flows))
 
 
 @settings(max_examples=30, deadline=None)
