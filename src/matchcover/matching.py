@@ -1,29 +1,27 @@
 """Maximum matching, matchability, and the matching-covered predicates.
 
-Two engines sit behind every predicate:
+One engine sits behind every predicate: an augmenting-path search with
+blossom shrinking (Edmonds 1965).  The first query against a graph
+builds the vertex index map, the simple adjacency lists over indices
+and one maximum matching, and keeps them in the graph's per-graph memo.
+Each query "does g minus S have a perfect matching?" copies that cached
+matching, unmatches the mates of S and re-augments: one alternating-tree
+search from each exposed vertex left, so at most |S| searches when the
+cached matching is perfect.
 
-* a memoized subset DP for graphs on at most 16 vertices (its table
-  lives in the graph's per-graph memo, shared by all vertex-deletion
-  queries against that graph);
-* an augmenting-path maximum-matching search with blossom shrinking for
-  anything larger.
-
-Parallel edges are collapsed for the engines (a matching never needs two
-parallel edges) and answers are lifted back to edge ids.  The simple
-adjacency lists and the matching-covered verdict are memoized per graph
-the same way.
+Parallel edges are collapsed for the engine (a matching never needs two
+parallel edges) and answers are lifted back to edge ids.  The
+matching-covered verdict is memoized per graph the same way.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import CapabilityError, DomainError
 from .multigraph import MultiGraph, _memoized
 
-BITMASK_LIMIT = 16
 DEFAULT_PM_BUDGET = 100_000
 BUDGET_ENV_VAR = "MATCHCOVER_BUDGET"
 
@@ -43,99 +41,119 @@ def pm_budget() -> int:
     return budget
 
 
-@_memoized
-def _simple_adjacency(g: MultiGraph) -> dict[int, tuple[int, ...]]:
-    return {v: g.neighbors(v) for v in g.vertices}
+# -- the engine -------------------------------------------------------------
 
 
-# -- blossom engine ---------------------------------------------------------
+def _lca(base: list[int], match: list[int], p: list[int], a: int, b: int) -> int:
+    """Base of the blossom that an edge between outer ``a`` and ``b`` closes."""
+    seen = [False] * len(base)
+    while True:
+        a = base[a]
+        seen[a] = True
+        if match[a] == -1:
+            break
+        a = p[match[a]]
+    while True:
+        b = base[b]
+        if seen[b]:
+            return b
+        b = p[match[b]]
 
 
-def _blossom_match(n: int, adj: list[list[int]]) -> list[int]:
-    """Maximum matching on a simple graph over vertices 0..n-1.
+def _mark_path(base: list[int], match: list[int], p: list[int],
+               v: int, b: int, child: int, blossom: list[bool]) -> None:
+    """Mark the bases from ``v`` up to the blossom base ``b``."""
+    while base[v] != b:
+        blossom[base[v]] = True
+        blossom[base[match[v]]] = True
+        p[v] = child
+        child = match[v]
+        v = p[match[v]]
 
-    Classic O(V^3) search: BFS an alternating tree from each exposed
-    vertex, shrinking odd cycles (blossoms) via the `base` array.
-    Returns the mate array (-1 for exposed vertices).
+
+def _augment(
+    adj: tuple[tuple[int, ...], ...], match: list[int], root: int, dead: Collection[int]
+) -> bool:
+    """One alternating-tree search from the exposed vertex ``root``.
+
+    Classic O(V^2)-per-search BFS that shrinks odd cycles (blossoms) via
+    the ``base`` array and never enters a vertex of ``dead`` (these must
+    be exposed).  On reaching an exposed vertex it augments ``match``
+    (the mate array, -1 for exposed vertices) in place and returns True.
     """
-    match = [-1] * n
+    for to in adj[root]:
+        if match[to] == -1 and to not in dead:
+            # An augmenting path of one edge: the search would find it first.
+            match[root] = to
+            match[to] = root
+            return True
+    n = len(adj)
     p = [-1] * n
+    for v in dead:
+        p[v] = v  # looks already labelled, so the search never enters it
     base = list(range(n))
+    used = [False] * n
+    used[root] = True
+    queue = [root]
+    for v in queue:  # breadth first: the loop reaches what is appended
+        mate = match[v]
+        for to in adj[v]:
+            if base[v] == base[to] or to == mate:
+                continue
+            to_mate = match[to]
+            if to == root or (to_mate != -1 and p[to_mate] != -1):
+                # Odd cycle: shrink the blossom rooted at the LCA.
+                curbase = _lca(base, match, p, v, to)
+                blossom = [False] * n
+                _mark_path(base, match, p, v, curbase, to, blossom)
+                _mark_path(base, match, p, to, curbase, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                if to_mate == -1:
+                    # Augment along the tree path ending at `to`.
+                    while to != -1:
+                        prev = p[to]
+                        after = match[prev]
+                        match[prev] = to
+                        match[to] = prev
+                        to = after
+                    return True
+                used[to_mate] = True
+                queue.append(to_mate)
+    return False
 
-    # Greedy seed matching: cheap, cuts the number of BFS phases.
-    for v in range(n):
+
+@_memoized
+def _engine(g: MultiGraph) -> tuple[dict[int, int], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The vertex index map, the simple adjacency lists over indices, and
+    one maximum matching as a mate tuple (-1 for exposed vertices) that
+    queries copy and never mutate."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    neighbors: list[set[int]] = [set() for _ in g.vertices]
+    for _, (u, v) in g.edge_items():
+        neighbors[index[u]].add(index[v])
+        neighbors[index[v]].add(index[u])
+    # Vertices are sorted, so each list is in the order of g.neighbors.
+    adj = tuple(tuple(sorted(nbrs)) for nbrs in neighbors)
+    match = [-1] * g.n
+    # Greedy seed matching: cheap, cuts the number of searches.
+    for v, nbrs in enumerate(adj):
         if match[v] == -1:
-            for w in adj[v]:
+            for w in nbrs:
                 if match[w] == -1:
                     match[v] = w
                     match[w] = v
                     break
-
-    def lca(a: int, b: int, used_base: list[bool]) -> int:
-        while True:
-            a = base[a]
-            used_base[a] = True
-            if match[a] == -1:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if used_base[b]:
-                return b
-            b = p[match[b]]
-
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
-
-    def find_path(root: int) -> bool:
-        used = [False] * n
-        for i in range(n):
-            p[i] = -1
-            base[i] = i
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    # Odd cycle: shrink the blossom rooted at the LCA.
-                    used_base = [False] * n
-                    curbase = lca(v, to, used_base)
-                    blossom = [False] * n
-                    mark_path(v, curbase, to, blossom)
-                    mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        # Augment along the tree path ending at `to`.
-                        while to != -1:
-                            prev = p[to]
-                            after = match[prev]
-                            match[prev] = to
-                            match[to] = prev
-                            to = after
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
-
-    for v in range(n):
+    for v in range(g.n):
         if match[v] == -1:
-            find_path(v)
-    return match
+            _augment(adj, match, v, ())
+    return index, adj, tuple(match)
 
 
 def maximum_matching(g: MultiGraph) -> frozenset[int]:
@@ -145,46 +163,14 @@ def maximum_matching(g: MultiGraph) -> frozenset[int]:
     pair, so parallel edges never change the answer.
     """
     verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    adj_map = _simple_adjacency(g)
-    adj = [[index[w] for w in adj_map[v]] for v in verts]
-    match = _blossom_match(g.n, adj)
-    out = set()
-    for i, j in enumerate(match):
-        if j > i:
-            out.add(min(g.edges_between(verts[i], verts[j])))
-    return frozenset(out)
+    return frozenset(
+        min(g.edges_between(verts[i], verts[j]))
+        for i, j in enumerate(_engine(g)[2])
+        if j > i
+    )
 
 
 # -- matchability oracle ----------------------------------------------------
-
-
-@_memoized
-def _dp_state(g: MultiGraph) -> tuple[dict[int, int], list[int], dict[int, bool]]:
-    index = {v: i for i, v in enumerate(g.vertices)}
-    masks = [0] * g.n
-    for v, nbrs in _simple_adjacency(g).items():
-        for w in nbrs:
-            masks[index[v]] |= 1 << index[w]
-    return index, masks, {0: True}
-
-
-def _matchable_mask(mask: int, masks: list[int], memo: dict[int, bool]) -> bool:
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
-    low = (mask & -mask).bit_length() - 1
-    rest = mask & ~(1 << low)
-    ok = False
-    cand = masks[low] & rest
-    while cand:
-        j = cand & -cand
-        if _matchable_mask(rest & ~j, masks, memo):
-            ok = True
-            break
-        cand &= cand - 1
-    memo[mask] = ok
-    return ok
 
 
 def matchable_minus(g: MultiGraph, removed: Iterable[int] = ()) -> bool:
@@ -195,18 +181,26 @@ def matchable_minus(g: MultiGraph, removed: Iterable[int] = ()) -> bool:
         return False
     if active_count == 0:
         return True
-    if g.n <= BITMASK_LIMIT:
-        index, masks, memo = _dp_state(g)
-        mask = (1 << g.n) - 1
-        for v in gone:
-            mask &= ~(1 << index[v])
-        return _matchable_mask(mask, masks, memo)
-    verts = [v for v in g.vertices if v not in gone]
-    index = {v: i for i, v in enumerate(verts)}
-    adj_map = _simple_adjacency(g)
-    adj = [[index[w] for w in adj_map[v] if w not in gone] for v in verts]
-    match = _blossom_match(len(verts), adj)
-    return -1 not in match
+    index, adj, cached = _engine(g)
+    dead = {index[v] for v in gone}
+    match = list(cached)
+    # The exposed vertices of g - S: the mates of S, once unmatched, and
+    # any vertex that the cached matching leaves exposed.
+    roots = []
+    for v in dead:
+        w = match[v]
+        if w != -1:
+            match[v] = match[w] = -1
+            if w not in dead:
+                roots.append(w)
+    if -1 in cached:
+        roots += [v for v, w in enumerate(cached) if w == -1 and v not in dead]
+    for root in roots:
+        if match[root] == -1 and not _augment(adj, match, root, dead):
+            # By Edmonds, a vertex that no augmenting path reaches stays
+            # exposed in some maximum matching, so g - S has no perfect one.
+            return False
+    return True
 
 
 def is_matchable(g: MultiGraph) -> bool:

@@ -138,3 +138,21 @@ def brute_vertex_connectivity(g: MultiGraph) -> int:
         if any(separates(frozenset(s)) for s in combinations(g.vertices, k)):
             return k
     return g.n
+
+
+def brute_matchable_minus(g: MultiGraph, removed) -> bool:
+    """Does g minus the vertices `removed` have a perfect matching? By
+    recursion on the lowest uncovered vertex."""
+    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for e in g.edge_ids:
+        u, v = g.endpoints(e)
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def perfect(left: frozenset[int]) -> bool:
+        if not left:
+            return True
+        u = min(left)
+        return any(perfect(left - {u, w}) for w in adj[u] & left)
+
+    return perfect(frozenset(g.vertices) - frozenset(removed))

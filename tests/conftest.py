@@ -71,6 +71,25 @@ def random_mc_graph(rng: random.Random, n: int, extra: int) -> MultiGraph:
     return g
 
 
+def random_nonbipartite_mc_graph(rng: random.Random, n: int, extra: int) -> MultiGraph:
+    """Random non-bipartite matching covered graph: random_mc_graph, then
+    random chords offered two at a time, each pair kept only while the
+    graph stays matching covered, until it is no longer bipartite.
+
+    random_mc_graph alone only returns bipartite graphs: a chord inside
+    one colour class lies in no perfect matching.  A pair of chords, one
+    inside each class, can lie in one together."""
+    g = random_mc_graph(rng, n, extra)
+    while g.bipartition() is not None:
+        candidate = g
+        for _ in range(2):
+            u, v = rng.sample(range(1, n + 1), 2)
+            candidate = candidate.add_edge(u, v)[0]
+        if is_matching_covered(candidate):
+            g = candidate
+    return g
+
+
 def random_splice(rng: random.Random, g1: MultiGraph, g2: MultiGraph) -> MultiGraph:
     v1 = rng.choice(g1.vertices)
     degree = len(g1.boundary({v1}))

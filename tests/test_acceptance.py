@@ -45,7 +45,7 @@ from matchcover.dependence import depends_on, mutually_dependent
 from matchcover.matching import is_admissible
 
 from _oracles import all_pms, brute_max_matching, odd_cuts_with_small_shore
-from conftest import random_graph, random_mc_graph
+from conftest import random_graph, random_mc_graph, random_nonbipartite_mc_graph
 
 
 def report(line: str) -> None:
@@ -154,6 +154,13 @@ def test_criterion_6_oracle_equivalence():
         rng = random.Random(seed)
         n = rng.choice((4, 6, 8, 10, 12))
         graphs.append(random_mc_graph(rng, n, rng.randrange(n)))
+    # random_mc_graph only returns bipartite graphs; these are not
+    for seed in range(250):
+        rng = random.Random(20_000 + seed)
+        n = rng.choice((4, 6, 8, 10, 12))
+        graphs.append(random_nonbipartite_mc_graph(rng, n, rng.randrange(n)))
+    nonbipartite = sum(g.bipartition() is None for g in graphs)
+    assert nonbipartite >= 250
 
     for g in graphs:
         assert len(maximum_matching(g)) == brute_max_matching(g)
@@ -181,7 +188,10 @@ def test_criterion_6_oracle_equivalence():
             checked_cuts += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"criterion 6 took {elapsed:.2f}s"
-    report(f"PASS criterion 6: 500 mc + 500 arbitrary graphs, {checked_cuts} cuts, zero oracle disagreements in {elapsed:.2f}s")
+    report(
+        f"PASS criterion 6: {len(graphs)} mc ({nonbipartite} nonbipartite) + 500 arbitrary graphs, "
+        f"{checked_cuts} cuts, zero oracle disagreements in {elapsed:.2f}s"
+    )
 
 
 def _tight_spliced_instances(count: int):

@@ -17,11 +17,16 @@ from matchcover.dependence import (
 )
 from matchcover.errors import DomainError
 from matchcover.generators import labeled_edge, named_graph
-from matchcover.matching import BITMASK_LIMIT, is_matching_covered
+from matchcover.matching import is_matching_covered
 from matchcover.multigraph import MultiGraph
 
 from _oracles import incidence_partition
-from conftest import corpus_params, random_mc_graph, sparse_mc_graphs
+from conftest import (
+    corpus_params,
+    random_mc_graph,
+    random_nonbipartite_mc_graph,
+    sparse_mc_graphs,
+)
 
 
 def test_depends_on_cycle():
@@ -101,9 +106,9 @@ def test_partition_covers_edges_once(g):
 
 @pytest.mark.parametrize("n", (18, 20))
 def test_partition_agrees_with_enumeration_past_bitmask_limit(n):
-    # the blossom engine answers every query on these graphs
+    # larger than the n <= 16 corpus, and nonbipartite graphs among them
     for g in sparse_mc_graphs(n):
-        assert g.n == n > BITMASK_LIMIT
+        assert g.n == n > 16
         assert tuple(sorted(equivalence_partition(g), key=min)) == incidence_partition(g)
 
 
@@ -156,7 +161,10 @@ def test_removable_classes_are_classes_and_small(g):
 def test_random_partition_agrees_with_enumeration(seed):
     rng = random.Random(seed)
     g = random_mc_graph(rng, rng.choice((4, 6, 8)), rng.randrange(6))
-    assert tuple(sorted(equivalence_partition(g), key=min)) == incidence_partition(g)
+    h = random_nonbipartite_mc_graph(rng, rng.choice((4, 6, 8)), rng.randrange(6))
+    assert h.bipartition() is None
+    for k in (g, h):
+        assert tuple(sorted(equivalence_partition(k), key=min)) == incidence_partition(k)
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,9 +172,11 @@ def test_random_partition_agrees_with_enumeration(seed):
 def test_dependence_transitive_through_classes(seed):
     rng = random.Random(seed)
     g = random_mc_graph(rng, 6, rng.randrange(5))
-    eq = equivalence_partition(g)
-    for c in eq:
-        members = sorted(c)
-        for i, e in enumerate(members):
-            for f in members[i + 1 :]:
-                assert mutually_dependent(g, e, f)
+    h = random_nonbipartite_mc_graph(rng, 6, rng.randrange(5))
+    assert h.bipartition() is None
+    for k in (g, h):
+        for c in equivalence_partition(k):
+            members = sorted(c)
+            for i, e in enumerate(members):
+                for f in members[i + 1 :]:
+                    assert mutually_dependent(k, e, f)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from matchcover.errors import CapabilityError
 from matchcover.generators import named_graph
 from matchcover.matching import (
-    BITMASK_LIMIT,
     enumerate_pms,
     has_pm_containing,
     is_admissible,
@@ -18,8 +18,14 @@ from matchcover.matching import (
 )
 from matchcover.multigraph import MultiGraph
 
-from _oracles import all_pms, brute_max_matching
-from conftest import corpus_params, random_graph
+from _oracles import all_pms, brute_matchable_minus, brute_max_matching
+from conftest import (
+    corpus_params,
+    random_graph,
+    random_mc_graph,
+    random_nonbipartite_mc_graph,
+    sparse_mc_graphs,
+)
 
 
 def test_matchable_basics():
@@ -135,9 +141,73 @@ def test_enumeration_agrees_with_oracle(seed, n, extra):
 
 
 def test_both_engines_agree_across_the_size_boundary():
-    # same graph family straddling the bitmask/blossom switch
-    for n in (BITMASK_LIMIT - 2, BITMASK_LIMIT, BITMASK_LIMIT + 2):
+    # even cycles just below, at and above 16 vertices
+    for n in (14, 16, 18):
         g = named_graph(f"C{n}")
         assert is_matchable(g)
         assert is_matching_covered(g)
         assert not matchable_minus(g, (1, 3))
+
+
+def _removed_sets(rng: random.Random, g: MultiGraph, count: int) -> list[frozenset[int]]:
+    """`count` random removed sets of 0..4 vertices (odd sizes too), in
+    random order, with the first few asked again at the end."""
+    sets = [
+        frozenset(rng.sample(g.vertices, rng.randrange(min(4, g.n) + 1)))
+        for _ in range(count)
+    ]
+    return sets + sets[:3]
+
+
+def _differential_graphs(rng: random.Random, n: int) -> list[MultiGraph]:
+    """A connected graph that may have no perfect matching (odd n, or
+    parallel edges from the random extra edges), and for even n >= 4 a
+    bipartite and a non-bipartite matching covered graph."""
+    graphs = [random_graph(rng, n, rng.randrange(2 * n))]
+    if n % 2 == 0 and n >= 4:
+        graphs.append(random_mc_graph(rng, n, rng.randrange(n)))
+        graphs.append(random_nonbipartite_mc_graph(rng, n, rng.randrange(n)))
+    return graphs
+
+
+def _check_queries(g: MultiGraph, removed_sets, oracle) -> None:
+    # the cached matching must come out of every query untouched
+    before = maximum_matching(g)
+    for removed in removed_sets:
+        assert matchable_minus(g, removed) == oracle(removed), sorted(removed)
+    assert maximum_matching(g) == before
+
+
+def test_matchable_minus_agrees_with_brute_force_under_many_queries():
+    rng = random.Random(2024)
+    seen: Counter = Counter()
+    for _ in range(300):
+        for g in _differential_graphs(rng, rng.randrange(2, 13)):
+            removed_sets = _removed_sets(rng, g, 25)
+            _check_queries(g, removed_sets, lambda removed: brute_matchable_minus(g, removed))
+            seen["no perfect matching"] += not brute_matchable_minus(g, ())
+            seen["parallel edges"] += len({g.endpoints(e) for e in g.edge_ids}) < g.m
+            seen["non-bipartite"] += g.bipartition() is None
+            seen["odd removed set, even rest"] += any(
+                len(s) % 2 == 1 and g.n % 2 == 1 for s in removed_sets
+            )
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
+@pytest.mark.parametrize("n", range(16, 41))
+def test_matchable_minus_agrees_with_networkx_under_many_queries(n):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(n)
+    graphs = [random_graph(rng, n, rng.randrange(n, 2 * n))]
+    if n % 2 == 0:
+        graphs += sparse_mc_graphs(n, count=1)  # one bipartite, one not
+
+    def nx_matchable_minus(g: MultiGraph, removed: frozenset[int]) -> bool:
+        h = nx.Graph(g.endpoints(e) for e in g.edge_ids)
+        h.remove_nodes_from(removed)
+        return 2 * len(nx.max_weight_matching(h, maxcardinality=True)) == g.n - len(removed)
+
+    for g in graphs:
+        h = nx.Graph(g.endpoints(e) for e in g.edge_ids)
+        assert len(maximum_matching(g)) == len(nx.max_weight_matching(h, maxcardinality=True))
+        _check_queries(g, _removed_sets(rng, g, 8), lambda removed: nx_matchable_minus(g, removed))

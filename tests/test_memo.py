@@ -19,6 +19,7 @@ from matchcover.cuts import (
 from matchcover.dependence import equivalence_partition
 from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.generators import named_graph
+from matchcover.matching import _engine
 from matchcover.multigraph import MultiGraph
 from matchcover.structure import _even_2cuts, even_2cuts
 
@@ -64,11 +65,19 @@ def test_build_analysis_computes_each_invariant_once():
         fn.__wrapped__.__code__: fn.__name__
         for fn in (equivalence_partition, _even_2cuts, _first_cut_decomposition)
     }
+    engine_body = _engine.__wrapped__.__code__
     runs: Counter = Counter()
+    engine_runs: Counter = Counter()
+    engine_graphs = []  # kept alive so that no two graphs share an id
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code in bodies and frame.f_locals.get("g") is g:
+        if event != "call":
+            return
+        if frame.f_code in bodies and frame.f_locals.get("g") is g:
             runs[bodies[frame.f_code]] += 1
+        elif frame.f_code is engine_body:
+            engine_graphs.append(frame.f_locals["g"])
+            engine_runs[id(frame.f_locals["g"])] += 1
 
     sys.setprofile(profile)
     try:
@@ -77,6 +86,9 @@ def test_build_analysis_computes_each_invariant_once():
         sys.setprofile(None)
     assert code == 0
     assert runs == {name: 1 for name in bodies.values()}
+    # the matching engine's cold search runs once per graph it is asked about
+    assert engine_runs[id(g)] == 1
+    assert len(engine_runs) > 1 and set(engine_runs.values()) == {1}
 
 
 def test_unreachable_cut_phase_raises(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from matchcover import structure
 from matchcover.generators import build_high_kappa_epsilon, named_graph
-from matchcover.matching import BITMASK_LIMIT, enumerate_pms
+from matchcover.matching import enumerate_pms
 from matchcover.multigraph import MultiGraph
 from matchcover.structure import (
     canonical_partition,
@@ -79,7 +79,7 @@ def test_canonical_partition_agrees_with_networkx_past_bitmask_limit(n):
     # u and v share a maximal barrier iff g - u - v has no perfect matching
     nx = pytest.importorskip("networkx")
     for g in sparse_mc_graphs(n):
-        assert g.n == n > BITMASK_LIMIT
+        assert g.n == n > 16
         h = nx.Graph(g.endpoints(e) for e in g.edge_ids)
         together = {v: {v} for v in g.vertices}
         for u, v in combinations(g.vertices, 2):
@@ -203,11 +203,13 @@ def test_vertex_connectivity_runs_at_most_kappa_plus_one_times_n_flows(monkeypat
 def test_barrier_parity(seed):
     # odd components of G - B are counted exactly by the definition
     rng = random.Random(seed)
-    from conftest import random_mc_graph
+    from conftest import random_mc_graph, random_nonbipartite_mc_graph
 
     g = random_mc_graph(rng, rng.choice((6, 8, 10)), rng.randrange(5))
-    parts = canonical_partition(g)
-    for p in parts:
-        comps = g.components(removed=set(p))
-        odd = sum(1 for c in comps if len(c) % 2)
-        assert odd == len(p)
+    h = random_nonbipartite_mc_graph(rng, rng.choice((6, 8, 10)), rng.randrange(5))
+    assert h.bipartition() is None
+    for k in (g, h):
+        for p in canonical_partition(k):
+            comps = k.components(removed=set(p))
+            odd = sum(1 for c in comps if len(c) % 2)
+            assert odd == len(p)
