@@ -299,9 +299,6 @@ def make_chooser(strategy: str = "first") -> Callable[[MultiGraph], Optional[Cut
     raise DomainError(f"unknown cut-choice strategy {strategy!r}")
 
 
-DEFAULT_STRATEGIES = ("first", "reverse", "random:1", "random:2", "random:3")
-
-
 # -- decompositions ----------------------------------------------------------
 
 

@@ -2,8 +2,10 @@
 removable edges/classes.
 
 An edge e depends on f when every perfect matching through e also uses
-f; operationally, e is inadmissible once f is deleted.  Mutual
-dependence partitions the edge set; epsilon is the largest class size.
+f; operationally, e is inadmissible once f is deleted.  ``_depends`` is
+the one place that test is made; the memoized ``g - f`` it runs on is
+shared by every query, ``removable_edges`` included.  Mutual dependence
+partitions the edge set; epsilon is the largest class size.
 """
 
 from __future__ import annotations
@@ -13,21 +15,30 @@ from typing import Iterable
 
 from .errors import DomainError
 from .matching import has_pm_containing, is_matching_covered
-from .multigraph import MultiGraph, _memoized
+from .multigraph import MultiGraph, _memoized, _partition
+
+
+def _depends(g: MultiGraph, e: int, f: int) -> bool:
+    """e lies in no perfect matching of g - f: the one dependence test.
+    Every query about g - f shares its memoized graph and engine."""
+    return not has_pm_containing(g.delete_edge(f), (e,))
+
+
+def _check_ids(g: MultiGraph, *edges: int) -> None:
+    for edge in edges:
+        if not g.has_edge_id(edge):
+            raise DomainError(f"unknown edge id {edge}")
 
 
 def depends_on(g: MultiGraph, e: int, f: int) -> bool:
     """Does every perfect matching containing e contain f?  Reflexive."""
-    for edge in (e, f):
-        if not g.has_edge_id(edge):
-            raise DomainError(f"unknown edge id {edge}")
-    if e == f:
-        return True
-    return not has_pm_containing(g.delete_edge(f), (e,))
+    _check_ids(g, e, f)
+    return _depends(g, e, f)
 
 
 def mutually_dependent(g: MultiGraph, e: int, f: int) -> bool:
-    return depends_on(g, e, f) and depends_on(g, f, e)
+    _check_ids(g, e, f)
+    return _depends(g, e, f) and _depends(g, f, e)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,56 +74,18 @@ def equivalence_partition(g: MultiGraph) -> EquivalencePartition:
     """
     if not is_matching_covered(g):
         raise DomainError("equivalence partition needs a matching covered graph")
-    ids = g.edge_ids
-    parent = {e: e for e in ids}
-
-    def find(e: int) -> int:
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    # One deletion graph per edge, so all queries against g - f share
-    # that instance's matchability cache.
-    deleted: dict[int, MultiGraph] = {}
-
-    def minus(f: int) -> MultiGraph:
-        if f not in deleted:
-            deleted[f] = g.delete_edge(f)
-        return deleted[f]
-
-    for i, e in enumerate(ids):
-        for f in ids[i + 1:]:
-            if (
-                find(e) != find(f)
-                and not has_pm_containing(minus(f), (e,))
-                and not has_pm_containing(minus(e), (f,))
-            ):
-                parent[find(f)] = find(e)
-    groups: dict[int, set[int]] = {}
-    for e in ids:
-        groups.setdefault(find(e), set()).add(e)
     return EquivalencePartition(
-        tuple(sorted((frozenset(c) for c in groups.values()), key=min))
+        _partition(g.edge_ids, lambda e, f: _depends(g, e, f) and _depends(g, f, e))
     )
 
 
 def class_of(g: MultiGraph, e: int) -> frozenset[int]:
     """The mutual-dependence class containing e, without building the
     whole partition (m pair tests instead of m^2)."""
-    if not g.has_edge_id(e):
-        raise DomainError(f"unknown edge id {e}")
-    minus_e = g.delete_edge(e)
-    out = [e]
-    for f in g.edge_ids:
-        if f == e:
-            continue
-        # f -> e first: those tests share one deletion graph's cache.
-        if has_pm_containing(minus_e, (f,)):
-            continue
-        if not has_pm_containing(g.delete_edge(f), (e,)):
-            out.append(f)
-    return frozenset(out)
+    _check_ids(g, e)
+    return frozenset(
+        f for f in g.edge_ids if _depends(g, f, e) and _depends(g, e, f)
+    )
 
 
 def is_equivalence_class(g: MultiGraph, edges: Iterable[int]) -> bool:
@@ -135,8 +108,7 @@ def _reject_k2(g: MultiGraph) -> None:
 def is_removable_edge(g: MultiGraph, e: int) -> bool:
     """Is g - e still matching covered?"""
     _reject_k2(g)
-    if not g.has_edge_id(e):
-        raise DomainError(f"unknown edge id {e}")
+    _check_ids(g, e)
     return is_matching_covered(g.delete_edge(e))
 
 

@@ -182,7 +182,10 @@ def matchable_minus(g: MultiGraph, removed: Iterable[int] = ()) -> bool:
     if active_count == 0:
         return True
     index, adj, cached = _engine(g)
-    dead = {index[v] for v in gone}
+    try:
+        dead = {index[v] for v in gone}
+    except KeyError:
+        raise DomainError(f"unknown vertices: {sorted(gone - index.keys())}") from None
     match = list(cached)
     # The exposed vertices of g - S: the mates of S, once unmatched, and
     # any vertex that the cached matching leaves exposed.

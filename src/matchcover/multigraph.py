@@ -13,7 +13,8 @@ The text format (used by the CLI) is::
 ``format_graph`` output parses and formats back to the same bytes.
 
 Derived results that depend only on the graph are memoized on the graph
-itself (``_memoized``); immutability means they never go stale.
+itself (``_memoized``, and ``delete_edge`` for each ``g - e``);
+immutability means they never go stale.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import dataclasses
 import hashlib
 from collections import deque
 from functools import cached_property, wraps
-from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .errors import CapabilityError, DomainError, ParseError
 
@@ -34,7 +35,8 @@ _T = TypeVar("_T")
 
 def _memoized(fn: Callable[["MultiGraph"], _T]) -> Callable[["MultiGraph"], _T]:
     """Cache ``fn(g)`` in ``g._memo``, keyed by ``fn``; the one per-graph
-    cache.  A call that raises caches nothing, so it raises again."""
+    cache, which also holds each ``g - e`` (keyed ``("delete_edge", e)``).
+    A call that raises caches nothing, so it raises again."""
 
     @wraps(fn)
     def wrapper(g: "MultiGraph") -> _T:
@@ -45,6 +47,30 @@ def _memoized(fn: Callable[["MultiGraph"], _T]) -> Callable[["MultiGraph"], _T]:
             return value
 
     return wrapper
+
+
+def _partition(
+    items: Sequence[_T], related: Callable[[_T, _T], bool]
+) -> tuple[frozenset[_T], ...]:
+    """The classes of the equivalence relation generated by ``related``,
+    sorted by their least item.  Union-find over the item pairs in order;
+    a pair already joined is not tested."""
+    parent = {x: x for x in items}
+
+    def find(x: _T) -> _T:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, x in enumerate(items):
+        for y in items[i + 1:]:
+            if find(x) != find(y) and related(x, y):
+                parent[find(y)] = find(x)
+    classes: dict[_T, set[_T]] = {}
+    for x in items:
+        classes.setdefault(find(x), set()).add(x)
+    return tuple(sorted((frozenset(c) for c in classes.values()), key=min))
 
 
 class MultiGraph:
@@ -132,7 +158,7 @@ class MultiGraph:
         self.edge_labels: dict[int, str] = {
             e: s for e, s in (edge_labels or {}).items() if e in norm
         }
-        self._memo: dict[Callable, object] = {}
+        self._memo: dict[object, object] = {}
 
     # -- basic accessors ------------------------------------------------
 
@@ -230,7 +256,14 @@ class MultiGraph:
         )
 
     def delete_edge(self, e: int) -> "MultiGraph":
-        return self.delete_edges((e,))
+        """``g - e``, built once per graph and edge, so every query about
+        it shares one instance and that instance's memo."""
+        key = ("delete_edge", e)
+        try:
+            return self._memo[key]
+        except KeyError:
+            minus = self._memo[key] = self.delete_edges((e,))
+            return minus
 
     def delete_vertices(self, vs: Iterable[int]) -> "MultiGraph":
         drop = set(vs)

@@ -14,7 +14,7 @@ import dataclasses
 from itertools import permutations
 from typing import Mapping, NamedTuple, Optional
 
-from .cuts import contractions, is_separating_cut, is_tight_cut
+from .cuts import _as_cut, contractions, is_separating_cut, is_tight_cut
 from .dependence import is_equivalence_class
 from .errors import CapabilityError, DomainError, VerificationError
 from .matching import has_pm_containing, is_admissible
@@ -199,9 +199,7 @@ def cross_support(
 ) -> CrossSupport:
     """Support of F across a separating cut, computed on the side's
     contraction with one forced-matchability call per cut edge."""
-    cut = c if isinstance(c, Cut) and c.graph is g else g.cut(
-        c.shore if isinstance(c, Cut) else c
-    )
+    cut = _as_cut(g, c)
     f_edges = frozenset(F)
     if f_edges & cut.edges:
         raise DomainError("F must be disjoint from the cut")
@@ -234,9 +232,7 @@ def check_merge(
     class.  cross_check=True additionally computes the class directly on
     g and raises a verification error on disagreement.
     """
-    cut = c if isinstance(c, Cut) and c.graph is g else g.cut(
-        c.shore if isinstance(c, Cut) else c
-    )
+    cut = _as_cut(g, c)
     if not is_tight_cut(g, cut):
         raise DomainError("merge analysis needs a tight cut")
     f1 = frozenset(F1)
@@ -273,9 +269,7 @@ def restrict_class(
     """F intersected with one contraction's edge set.  Across a tight
     cut a nonempty restriction is itself a class of the contraction;
     across a merely separating cut only containment is guaranteed."""
-    cut = c if isinstance(c, Cut) and c.graph is g else g.cut(
-        c.shore if isinstance(c, Cut) else c
-    )
+    cut = _as_cut(g, c)
     side_graph = _side_graph(g, cut, side)
     edges = frozenset(e for e in F if side_graph.has_edge_id(e))
     if not edges:

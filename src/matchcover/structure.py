@@ -1,17 +1,21 @@
 """Barriers, the canonical partition, bicriticality, even 2-cuts, and
 vertex connectivity.  The partition, the even 2-cuts and the
-connectivity are memoized per graph.  Connectivity follows Even's
-scheme: at most (kappa+1)*n unit-capacity flows on one vertex-split
-array network, each capped at the least value found so far."""
+connectivity are memoized per graph.  The canonical partition shares
+its union-find (``_partition``) with the equivalence classes; the even
+2-cuts are read off those classes, so both need a matching covered
+graph.  Connectivity follows Even's scheme: at most (kappa+1)*n
+unit-capacity flows on one vertex-split array network, each capped at
+the least value found so far."""
 
 from __future__ import annotations
 
 from itertools import combinations
 from typing import Iterable
 
+from .dependence import equivalence_partition
 from .errors import DomainError, VerificationError
 from .matching import is_matching_covered, matchable_minus
-from .multigraph import Cut, MultiGraph, _memoized
+from .multigraph import Cut, MultiGraph, _memoized, _partition
 
 
 def is_barrier(g: MultiGraph, vertex_set: Iterable[int]) -> bool:
@@ -35,21 +39,7 @@ def canonical_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
     """
     if not is_matching_covered(g):
         raise DomainError("canonical partition needs a matching covered graph")
-    parent = {v: v for v in g.vertices}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in combinations(g.vertices, 2):
-        if find(u) != find(v) and not matchable_minus(g, (u, v)):
-            parent[find(v)] = find(u)
-    classes: dict[int, set[int]] = {}
-    for v in g.vertices:
-        classes.setdefault(find(v), set()).add(v)
-    parts = tuple(sorted((frozenset(c) for c in classes.values()), key=min))
+    parts = _partition(g.vertices, lambda u, v: not matchable_minus(g, (u, v)))
     for part in parts:
         if not is_barrier(g, part):
             raise VerificationError(
@@ -67,7 +57,8 @@ def is_bicritical(g: MultiGraph) -> bool:
 
 
 def even_2cuts(g: MultiGraph) -> list[Cut]:
-    """All 2-edge cuts {e, f} with nonadjacent edges and two even shores.
+    """All 2-edge cuts {e, f} with nonadjacent edges and two even shores,
+    in a matching covered graph (``DomainError`` otherwise).
 
     Each is returned as the Cut of the shore holding the lower minimum
     vertex id.  Results are ordered by the pair's edge ids.  The list is
@@ -78,25 +69,29 @@ def even_2cuts(g: MultiGraph) -> list[Cut]:
 
 @_memoized
 def _even_2cuts(g: MultiGraph) -> tuple[Cut, ...]:
+    # A perfect matching meets an even cut in an even number of edges, so
+    # the two edges of an even 2-cut are mutually dependent: candidates
+    # come from pairs inside one equivalence class.
+    pairs = sorted(
+        pair for cls in equivalence_partition(g) for pair in combinations(sorted(cls), 2)
+    )
     out: list[Cut] = []
-    ids = g.edge_ids
-    for i, e in enumerate(ids):
+    for e, f in pairs:
         eu, ev = g.endpoints(e)
-        for f in ids[i + 1:]:
-            fu, fv = g.endpoints(f)
-            if len({eu, ev, fu, fv}) < 4:
-                continue
-            comps = g.delete_edges((e, f)).components()
-            if len(comps) != 2:
-                continue
-            first, second = comps
-            if len(first) % 2 or len(second) % 2:
-                continue
-            # Both edges must genuinely cross, else {e, f} is not a cut.
-            if (eu in first) == (ev in first) or (fu in first) == (fv in first):
-                continue
-            shore = first if min(first) < min(second) else second
-            out.append(g.cut(shore))
+        fu, fv = g.endpoints(f)
+        if len({eu, ev, fu, fv}) < 4:
+            continue
+        comps = g.delete_edges((e, f)).components()
+        if len(comps) != 2:
+            continue
+        first, second = comps
+        if len(first) % 2 or len(second) % 2:
+            continue
+        # Both edges must genuinely cross, else {e, f} is not a cut.
+        if (eu in first) == (ev in first) or (fu in first) == (fv in first):
+            continue
+        shore = first if min(first) < min(second) else second
+        out.append(g.cut(shore))
     return tuple(out)
 
 

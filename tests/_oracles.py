@@ -156,3 +156,29 @@ def brute_matchable_minus(g: MultiGraph, removed) -> bool:
         return any(perfect(left - {u, w}) for w in adj[u] & left)
 
     return perfect(frozenset(g.vertices) - frozenset(removed))
+
+
+def brute_even_2cuts(g: MultiGraph) -> list:
+    """Every 2-edge cut {e, f} with nonadjacent edges and two even
+    shores, by deleting every edge pair; as the Cut of the shore holding
+    the lower minimum vertex, ordered by the pair's edge ids."""
+    out = []
+    ids = g.edge_ids
+    for i, e in enumerate(ids):
+        eu, ev = g.endpoints(e)
+        for f in ids[i + 1:]:
+            fu, fv = g.endpoints(f)
+            if len({eu, ev, fu, fv}) < 4:
+                continue
+            comps = g.delete_edges((e, f)).components()
+            if len(comps) != 2:
+                continue
+            first, second = comps
+            if len(first) % 2 or len(second) % 2:
+                continue
+            # Both edges must genuinely cross, else {e, f} is not a cut.
+            if (eu in first) == (ev in first) or (fu in first) == (fv in first):
+                continue
+            shore = first if min(first) < min(second) else second
+            out.append(g.cut(shore))
+    return out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchcover.errors import CapabilityError
+from matchcover.errors import CapabilityError, DomainError
 from matchcover.generators import named_graph
 from matchcover.matching import (
     enumerate_pms,
@@ -70,6 +70,11 @@ def test_matchable_minus():
     g = named_graph("C6")
     assert matchable_minus(g, (1, 2))
     assert not matchable_minus(g, (1, 3))
+
+
+def test_matchable_minus_unknown_vertex():
+    with pytest.raises(DomainError, match=r"unknown vertices: \[99\]"):
+        matchable_minus(named_graph("C6"), (1, 99))
 
 
 def test_admissible_and_matching_covered():

@@ -1,8 +1,10 @@
 """The per-graph memo: shared results, fresh mutable answers, lazy leaf
 forms, and no repeated invariant work inside one analysis."""
 
+import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ from matchcover.cuts import (
     tight_cut_decomposition,
     verify_bounds,
 )
-from matchcover.dependence import equivalence_partition
+from matchcover.dependence import class_of, equivalence_partition, removable_edges
 from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.generators import named_graph
 from matchcover.matching import _engine
@@ -91,6 +93,31 @@ def test_build_analysis_computes_each_invariant_once():
     assert len(engine_runs) > 1 and set(engine_runs.values()) == {1}
 
 
+def test_dependence_queries_share_each_edge_deletion():
+    # The partition, every class_of and removable_edges all ask about the
+    # graphs g - e; each of those must build its matching engine once.
+    g = named_graph("prism4")
+    engine_body = _engine.__wrapped__.__code__
+    runs: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is engine_body:
+            h = frame.f_locals["g"]
+            if h.vertices == g.vertices and h.m == g.m - 1:
+                runs[frozenset(h.edge_ids)] += 1
+
+    sys.setprofile(profile)
+    try:
+        classes = equivalence_partition(g)
+        for e in g.edge_ids:
+            assert class_of(g, e) == classes.class_of(e)
+        removable_edges(g)
+    finally:
+        sys.setprofile(None)
+    assert len(runs) == g.m
+    assert set(runs.values()) == {1}
+
+
 def test_unreachable_cut_phase_raises(monkeypatch):
     # Pretend the brick test fails on a brick: the certified search must
     # refuse loudly rather than fall back to an exhaustive scan.
@@ -103,3 +130,11 @@ def test_unreachable_cut_phase_raises(monkeypatch):
 def test_vertex_connectivity_is_exported():
     assert "vertex_connectivity" in matchcover.__all__
     assert matchcover.vertex_connectivity(named_graph("K4")) == 3
+
+
+def test_readme_call_surfaces_are_exported():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("Key call surfaces", 1)[1].split("\n\n")[1]
+    names = re.findall(r"`([^`]+)`", table)
+    assert len(names) == 44
+    assert sorted(set(names) - set(matchcover.__all__)) == []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchcover import structure
+from matchcover.errors import DomainError
 from matchcover.generators import build_high_kappa_epsilon, named_graph
 from matchcover.matching import enumerate_pms
 from matchcover.multigraph import MultiGraph
@@ -17,8 +18,13 @@ from matchcover.structure import (
     vertex_connectivity,
 )
 
-from _oracles import brute_vertex_connectivity
-from conftest import corpus_params, sparse_mc_graphs
+from _oracles import brute_even_2cuts, brute_vertex_connectivity
+from conftest import (
+    corpus_params,
+    random_mc_graph,
+    random_nonbipartite_mc_graph,
+    sparse_mc_graphs,
+)
 
 
 def test_is_barrier_basics():
@@ -118,6 +124,49 @@ def test_even_2cuts_shores_even():
             assert len(cut.shore) % 2 == 0
             assert len(cut.other_shore) % 2 == 0
             assert len(cut.edges) == 2
+
+
+def _assert_even_2cuts_match_brute_force(g):
+    found = even_2cuts(g)
+    # same order and the very same shore, not just an equal cut
+    assert [(sorted(c.edges), c.shore) for c in found] == [
+        (sorted(c.edges), c.shore) for c in brute_even_2cuts(g)
+    ]
+    return found
+
+
+@pytest.mark.parametrize("g", corpus_params())
+def test_even_2cuts_agree_with_brute_force_on_corpus(g):
+    _assert_even_2cuts_match_brute_force(g)
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_even_2cuts_agree_with_brute_force_on_sparse_graphs(n):
+    for g in sparse_mc_graphs(n):
+        _assert_even_2cuts_match_brute_force(g)
+
+
+def test_even_2cuts_agree_with_brute_force_on_random_graphs():
+    rng = random.Random(2025)
+    with_cuts = doubled_with_cuts = 0
+    for i in range(40):
+        make = random_nonbipartite_mc_graph if i % 2 else random_mc_graph
+        g = make(rng, rng.choice((6, 8, 10, 12, 14)), rng.randrange(4))
+        if i % 4 >= 2:
+            # a parallel copy of an edge turns any even 2-cut through it
+            # into a 3-cut; the copy is admissible, so g stays covered
+            u, v = g.endpoints(rng.choice(g.edge_ids))
+            g = g.add_edge(u, v)[0]
+        if _assert_even_2cuts_match_brute_force(g):
+            with_cuts += 1
+            doubled_with_cuts += i % 4 >= 2
+    assert with_cuts >= 10 and doubled_with_cuts >= 3
+
+
+def test_even_2cuts_need_a_matching_covered_graph():
+    path = MultiGraph(4, [(1, 2), (2, 3), (3, 4)])  # edge 2 is in no perfect matching
+    with pytest.raises(DomainError):
+        even_2cuts(path)
 
 
 def test_vertex_connectivity_values():
