@@ -176,16 +176,15 @@ def maximum_matching(g: MultiGraph) -> frozenset[int]:
 def matchable_minus(g: MultiGraph, removed: Iterable[int] = ()) -> bool:
     """Does ``g`` minus the given vertices have a perfect matching?"""
     gone = frozenset(removed)
+    if not gone <= g._vset:
+        raise DomainError(f"unknown vertices: {sorted(gone - g._vset)}")
     active_count = g.n - len(gone)
     if active_count % 2 == 1:
         return False
     if active_count == 0:
         return True
     index, adj, cached = _engine(g)
-    try:
-        dead = {index[v] for v in gone}
-    except KeyError:
-        raise DomainError(f"unknown vertices: {sorted(gone - index.keys())}") from None
+    dead = {index[v] for v in gone}
     match = list(cached)
     # The exposed vertices of g - S: the mates of S, once unmatched, and
     # any vertex that the cached matching leaves exposed.

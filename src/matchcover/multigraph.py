@@ -499,11 +499,23 @@ def _encode(mult: list[list[int]], perm: list[int]) -> bytes:
 def canonical_form(g: MultiGraph) -> CanonicalForm:
     """Exact canonical fingerprint of ``g``, parallel edges included.
 
-    Individualization-refinement with full branching on the first
-    smallest non-singleton color cell; the minimum encoding over all
-    discrete colorings reached is canonical.  Exactness matters more
-    than speed here: decomposition-uniqueness checks compare multisets
-    of these forms, so false merges or splits would mask real bugs.
+    Individualization-refinement branching on the first smallest
+    non-singleton color cell; the minimum encoding over the discrete
+    colorings (leaves) of the search tree is canonical.  Exactness
+    matters more than speed here: decomposition-uniqueness checks
+    compare multisets of these forms, so false merges or splits would
+    mask real bugs.
+
+    The search is pruned by automorphisms (McKay 1981).  Two leaves with
+    the same encoding differ by an automorphism of ``g``; one is stored
+    whenever a leaf encodes like the first leaf or the best one so far.
+    At each node a child is skipped if it lies in the orbit of an
+    explored child under the group generated by the stored automorphisms
+    that fix the node's individualized vertices.  Refinement and cell
+    choice commute with relabeling, so such an automorphism carries the
+    explored child's subtree onto the skipped one, leaf encodings
+    included: the minimum, and so every digest, is the one the full
+    search finds.
     """
     if g.n > CANON_VERTEX_LIMIT:
         raise CapabilityError(
@@ -520,13 +532,19 @@ def canonical_form(g: MultiGraph) -> CanonicalForm:
         mult[iu][iv] += 1
         mult[iv][iu] += 1
 
-    best: list[bytes] = []
+    # leaves[0] is the first leaf, leaves[1] the best; each is
+    # (encoding, perm) with perm[i] the vertex at position i.
+    leaves: list[tuple[bytes, list[int]]] = []
+    autos: list[list[int]] = []
     budget = [_CANON_NODE_BUDGET]
 
-    def descend(colors: list[int]) -> None:
+    def descend(colors: list[int], prefix: tuple[int, ...]) -> None:
         budget[0] -= 1
         if budget[0] < 0:
-            raise CapabilityError("canonical form search budget exceeded")
+            raise CapabilityError(
+                f"canonical form: search passed the {_CANON_NODE_BUDGET:,}-node limit "
+                f"(multigraph._CANON_NODE_BUDGET) on n={n}, m={g.m}"
+            )
         colors = _refine(adj, mult, colors)
         by_color: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
@@ -540,19 +558,49 @@ def canonical_form(g: MultiGraph) -> CanonicalForm:
         if target is None:
             perm = sorted(range(n), key=colors.__getitem__)
             enc = _encode(mult, perm)
-            if not best or enc < best[0]:
-                best[:] = [enc]
+            if not leaves:
+                leaves[:] = [(enc, perm), (enc, perm)]
+                return
+            for seen, at in leaves:
+                if enc == seen:
+                    auto = [0] * n
+                    for i in range(n):
+                        auto[at[i]] = perm[i]
+                    autos.append(auto)
+                    break
+            if enc < leaves[1][0]:
+                leaves[1] = (enc, perm)
             return
+        # Orbits of the stored automorphisms that fix the prefix, grown
+        # as the children's subtrees store more.
+        orbit = list(range(n))
+
+        def find(v: int) -> int:
+            while orbit[v] != v:
+                orbit[v] = orbit[orbit[v]]
+                v = orbit[v]
+            return v
+
+        folded = 0
+        explored: list[int] = []
         fresh = max(colors) + 1
         for v in target:
+            for auto in autos[folded:]:
+                if all(auto[p] == p for p in prefix):
+                    for i, j in enumerate(auto):
+                        orbit[find(i)] = find(j)
+            folded = len(autos)
+            if any(find(v) == find(u) for u in explored):
+                continue
+            explored.append(v)
             child = list(colors)
             child[v] = fresh
-            descend(child)
+            descend(child, prefix + (v,))
 
     if n == 0:
         return CanonicalForm(0, b"")
-    descend([0] * n)
-    return CanonicalForm(n, best[0])
+    descend([0] * n, ())
+    return CanonicalForm(n, leaves[1][0])
 
 
 # -- text format -----------------------------------------------------------

@@ -7,9 +7,10 @@ accessors. Keep it that way.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
-from matchcover.multigraph import MultiGraph
+from matchcover.errors import CapabilityError
+from matchcover.multigraph import CanonicalForm, MultiGraph
 
 
 def brute_max_matching(g: MultiGraph) -> int:
@@ -182,3 +183,110 @@ def brute_even_2cuts(g: MultiGraph) -> list:
             shore = first if min(first) < min(second) else second
             out.append(g.cut(shore))
     return out
+
+
+def _refine(adj: list[int], mult: list[list[int]], colors: list[int]) -> list[int]:
+    # Iterated color refinement: a vertex's new color is (old color,
+    # multiset of (neighbor color, multiplicity)), renumbered by sorted
+    # signature.
+    n = len(adj)
+    while True:
+        sigs = []
+        for v in range(n):
+            nbr = sorted(
+                (colors[w], mult[v][w]) for w in range(n) if adj[v] >> w & 1
+            )
+            sigs.append((colors[v], tuple(nbr)))
+        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [order[sig] for sig in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _encode(mult: list[list[int]], perm: list[int]) -> bytes:
+    # Upper-triangle multiplicities of the relabeled graph, row-major.
+    n = len(mult)
+    out = bytearray()
+    for i in range(n):
+        row = mult[perm[i]]
+        for j in range(i + 1, n):
+            out.append(min(row[perm[j]], 255))
+    return bytes(out)
+
+
+def brute_canonical_form(g: MultiGraph) -> CanonicalForm:
+    """The canonical form by visiting every leaf of the
+    individualization-refinement tree (no automorphism pruning): the
+    minimum encoding over all discrete colorings reached.  Refinement,
+    cell choice and encoding are private copies of the library's, so the
+    encodings must agree byte for byte."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    n = g.n
+    adj = [0] * n
+    mult = [[0] * n for _ in range(n)]
+    for _, (u, v) in g.edge_items():
+        iu, iv = index[u], index[v]
+        adj[iu] |= 1 << iv
+        adj[iv] |= 1 << iu
+        mult[iu][iv] += 1
+        mult[iv][iu] += 1
+
+    best: list[bytes] = []
+    budget = [500_000]
+
+    def descend(colors: list[int]) -> None:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise CapabilityError("canonical form search budget exceeded")
+        colors = _refine(adj, mult, colors)
+        by_color: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            by_color.setdefault(c, []).append(v)
+        target = None
+        for c in sorted(by_color):
+            if len(by_color[c]) > 1:
+                cell = by_color[c]
+                if target is None or len(cell) < len(target):
+                    target = cell
+        if target is None:
+            perm = sorted(range(n), key=colors.__getitem__)
+            enc = _encode(mult, perm)
+            if not best or enc < best[0]:
+                best[:] = [enc]
+            return
+        fresh = max(colors) + 1
+        for v in target:
+            child = list(colors)
+            child[v] = fresh
+            descend(child)
+
+    if n == 0:
+        return CanonicalForm(0, b"")
+    descend([0] * n)
+    return CanonicalForm(n, best[0])
+
+
+def brute_isomorphic(g: MultiGraph, h: MultiGraph) -> bool:
+    """Is some bijection of the vertices an isomorphism, parallel edges
+    counted?  By trying every permutation."""
+
+    def multiplicities(x: MultiGraph) -> dict[tuple[int, int], int]:
+        count: dict[tuple[int, int], int] = {}
+        for e in x.edge_ids:
+            pair = x.endpoints(e)
+            count[pair] = count.get(pair, 0) + 1
+        return count
+
+    if g.n != h.n or g.m != h.m:
+        return False
+    target = multiplicities(h)
+    source = multiplicities(g)
+    for image in permutations(h.vertices):
+        to = dict(zip(g.vertices, image))
+        if all(
+            target.get(tuple(sorted((to[u], to[v]))), 0) == k
+            for (u, v), k in source.items()
+        ):
+            return True
+    return False

@@ -1,10 +1,12 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchcover.matching
 from matchcover.errors import CapabilityError, DomainError
 from matchcover.generators import named_graph
 from matchcover.matching import (
@@ -75,6 +77,23 @@ def test_matchable_minus():
 def test_matchable_minus_unknown_vertex():
     with pytest.raises(DomainError, match=r"unknown vertices: \[99\]"):
         matchable_minus(named_graph("C6"), (1, 99))
+
+
+@pytest.mark.parametrize(
+    "removed", [(99,), (1, 2, 99), (99, 100)], ids=["99", "1-2-99", "99-100"]
+)
+def test_matchable_minus_refuses_unknown_vertices_before_the_parity_check(
+    monkeypatch, removed
+):
+    # An odd count of remaining vertices must not hide an unknown id, and
+    # the ids are checked before any matching engine is built.
+    def no_engine(g):
+        raise AssertionError("engine built for unknown ids")
+
+    monkeypatch.setattr(matchcover.matching, "_engine", no_engine)
+    unknown = sorted(v for v in removed if v > 6)
+    with pytest.raises(DomainError, match=rf"unknown vertices: {re.escape(str(unknown))}"):
+        matchable_minus(named_graph("C6"), removed)
 
 
 def test_admissible_and_matching_covered():

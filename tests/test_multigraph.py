@@ -2,15 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchcover.multigraph
 from matchcover.errors import CapabilityError, DomainError, ParseError
 from matchcover.generators import named_graph
 from matchcover.multigraph import (
+    CANON_VERTEX_LIMIT,
     MultiGraph,
     canonical_form,
     format_graph,
     parse_graph,
 )
 
+from _oracles import brute_canonical_form, brute_isomorphic
 from conftest import corpus_params, random_graph
 import random
 
@@ -179,3 +182,140 @@ def test_canonical_form_invariant_under_relabeling(seed, n, extra):
     relabel = {v: perm[i] for i, v in enumerate(sorted(g.vertices))}
     h = MultiGraph(n, [tuple(map(relabel.get, g.endpoints(e))) for e in g.edge_ids])
     assert canonical_form(g) == canonical_form(h)
+
+
+def test_canonical_form_size_limit_is_inclusive(monkeypatch):
+    # both sides of CANON_VERTEX_LIMIT: K12,12 has n = 24 and 2 * 12!^2
+    # leaves, so it gets a form under a 5,000-node budget only because
+    # automorphisms prune the search; one vertex more is refused.
+    assert CANON_VERTEX_LIMIT == 24
+    monkeypatch.setattr(matchcover.multigraph, "_CANON_NODE_BUDGET", 5_000)
+    k = MultiGraph(24, [(i, j) for i in range(1, 13) for j in range(13, 25)])
+    assert canonical_form(k).n == 24
+    path = MultiGraph(25, [(i, i + 1) for i in range(1, 25)])
+    with pytest.raises(CapabilityError, match="limited to 24 vertices, got 25"):
+        canonical_form(path)
+
+
+def test_canonical_form_budget_refusal_names_phase_limit_and_setting(monkeypatch):
+    # K5,5 takes 97 search nodes
+    monkeypatch.setattr(matchcover.multigraph, "_CANON_NODE_BUDGET", 50)
+    with pytest.raises(CapabilityError) as info:
+        canonical_form(named_graph("K5,5"))
+    message = str(info.value)
+    assert message.startswith("canonical form:")
+    assert "50-node limit" in message
+    assert "_CANON_NODE_BUDGET" in message
+
+
+def _oracle_inputs(g: MultiGraph) -> list[MultiGraph]:
+    simple = g.underlying_simple()
+    return [g] if simple.m == g.m else [g, simple]
+
+
+@pytest.mark.parametrize("g", corpus_params())
+def test_canonical_form_matches_unpruned_search_on_corpus(g):
+    for h in _oracle_inputs(g):
+        assert canonical_form(h) == brute_canonical_form(h)
+
+
+def _random_regular(rng: random.Random, n: int, d: int) -> MultiGraph:
+    """A random d-regular loopless multigraph on n vertices (n * d
+    even), by pairing stubs until no pair is a loop."""
+    while True:
+        stubs = [v for v in range(1, n + 1) for _ in range(d)]
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if all(u != v for u, v in pairs):
+            return MultiGraph(n, pairs)
+
+
+def _relabeled(rng: random.Random, g: MultiGraph) -> MultiGraph:
+    image = list(g.vertices)
+    rng.shuffle(image)
+    to = dict(zip(g.vertices, image))
+    return MultiGraph(g.vertices, [tuple(to[x] for x in g.endpoints(e)) for e in g.edge_ids])
+
+
+def _symmetric_multigraph(rng: random.Random) -> MultiGraph:
+    """A seeded multigraph, n <= 10, on which refinement alone splits
+    few cells: a circulant with one or two jumps, two copies of a small
+    random graph, a complete bipartite graph (these have many
+    automorphisms), or a random regular multigraph (usually few); each
+    may carry parallel edges."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        n = rng.randrange(4, 11)
+        edges = []
+        for jump in rng.sample(range(1, n // 2 + 1), rng.randrange(1, 3)):
+            copies = rng.randrange(1, 3)
+            edges += [(i, (i + jump) % n) for i in range(n) for _ in range(copies)]
+        return MultiGraph(range(n), [(u, v) for u, v in edges if u != v])
+    if kind == 1:
+        half = random_graph(rng, rng.randrange(2, 6), rng.randrange(3))
+        shift = half.n
+        edges = [half.endpoints(e) for e in half.edge_ids]
+        return MultiGraph(2 * shift, edges + [(u + shift, v + shift) for u, v in edges])
+    if kind == 2:
+        a, b = rng.randrange(1, 5), rng.randrange(1, 5)
+        edges = [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)]
+        return MultiGraph(a + b, edges + rng.sample(edges, rng.randrange(len(edges) + 1)))
+    n, d = rng.choice(((6, 3), (8, 3), (10, 3), (6, 4), (7, 4), (8, 4)))
+    return _random_regular(rng, n, d)
+
+
+def test_canonical_form_matches_unpruned_search_on_random_multigraphs():
+    rng = random.Random(6006)
+    parallel = 0
+    for i in range(160):
+        if i % 2:
+            g = _symmetric_multigraph(rng)
+        else:
+            n = rng.randrange(2, 11)
+            g = random_graph(rng, n, rng.randrange(2 * n))
+        parallel += g.underlying_simple().m < g.m
+        assert canonical_form(g) == brute_canonical_form(g), format_graph(g)
+    assert parallel >= 40
+
+
+def test_canonical_form_invariant_under_relabeling_of_regular_graphs():
+    # Past the oracle's reach: regular multigraphs, where refinement
+    # splits nothing at the root, alone (n <= 16) and as two disjoint
+    # copies (n <= 24).
+    rng = random.Random(8008)
+    for i in range(60):
+        n = rng.choice((8, 10, 12) if i % 3 else (14, 16))
+        g = _random_regular(rng, n, rng.choice((3, 4)))
+        if i % 3:
+            ends = [g.endpoints(e) for e in g.edge_ids]
+            g = MultiGraph(2 * n, ends + [(u + n, v + n) for u, v in ends])
+        assert canonical_form(g) == canonical_form(_relabeled(rng, g)), format_graph(g)
+
+
+def _switched(rng: random.Random, g: MultiGraph) -> MultiGraph:
+    """g relabeled at random, then, two times in three, with up to three
+    switches, each replacing two disjoint edges ab, cd by ad, cb: the
+    degrees stay the same, the isomorphism class may not."""
+    h = _relabeled(rng, g)
+    edges = [h.endpoints(e) for e in h.edge_ids]
+    if len(edges) >= 2 and rng.random() < 2 / 3:
+        for _ in range(rng.randrange(1, 4)):
+            i, j = rng.sample(range(len(edges)), 2)
+            (a, b), (c, d) = edges[i], edges[j]
+            if len({a, b, c, d}) == 4:
+                edges[i], edges[j] = (a, d), (c, b)
+    return MultiGraph(g.vertices, edges)
+
+
+def test_canonical_forms_are_equal_exactly_for_isomorphic_graphs():
+    rng = random.Random(7007)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randrange(2, 8)
+        g = random_graph(rng, n, rng.randrange(2 * n))
+        h = _switched(rng, g)
+        isomorphic = brute_isomorphic(g, h)
+        assert (canonical_form(g) == canonical_form(h)) == isomorphic, (
+            format_graph(g), format_graph(h))
+        outcomes[isomorphic] += 1
+    assert min(outcomes.values()) >= 50, outcomes
