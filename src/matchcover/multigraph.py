@@ -496,6 +496,27 @@ def _encode(mult: list[list[int]], perm: list[int]) -> bytes:
     return bytes(out)
 
 
+def _find(orbit: list[int], v: int) -> int:
+    """The root of ``v`` in the union-find parent array ``orbit``."""
+    while orbit[v] != v:
+        orbit[v] = orbit[orbit[v]]
+        v = orbit[v]
+    return v
+
+
+def _fold_fixing(
+    orbit: list[int], autos: list[list[int]], prefix: tuple[int, ...]
+) -> None:
+    """Join in ``orbit`` the cycles of each automorphism in ``autos``
+    that fixes every vertex of ``prefix``.  The others are left out: one
+    that moves the prefix carries a child's subtree onto a subtree of
+    another node, not of a sibling, so it proves no sibling redundant."""
+    for auto in autos:
+        if all(auto[p] == p for p in prefix):
+            for i, j in enumerate(auto):
+                orbit[_find(orbit, i)] = _find(orbit, j)
+
+
 def canonical_form(g: MultiGraph) -> CanonicalForm:
     """Exact canonical fingerprint of ``g``, parallel edges included.
 
@@ -574,23 +595,13 @@ def canonical_form(g: MultiGraph) -> CanonicalForm:
         # Orbits of the stored automorphisms that fix the prefix, grown
         # as the children's subtrees store more.
         orbit = list(range(n))
-
-        def find(v: int) -> int:
-            while orbit[v] != v:
-                orbit[v] = orbit[orbit[v]]
-                v = orbit[v]
-            return v
-
         folded = 0
         explored: list[int] = []
         fresh = max(colors) + 1
         for v in target:
-            for auto in autos[folded:]:
-                if all(auto[p] == p for p in prefix):
-                    for i, j in enumerate(auto):
-                        orbit[find(i)] = find(j)
+            _fold_fixing(orbit, autos[folded:], prefix)
             folded = len(autos)
-            if any(find(v) == find(u) for u in explored):
+            if any(_find(orbit, v) == _find(orbit, u) for u in explored):
                 continue
             explored.append(v)
             child = list(colors)

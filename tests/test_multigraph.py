@@ -8,6 +8,8 @@ from matchcover.generators import named_graph
 from matchcover.multigraph import (
     CANON_VERTEX_LIMIT,
     MultiGraph,
+    _find,
+    _fold_fixing,
     canonical_form,
     format_graph,
     parse_graph,
@@ -167,9 +169,18 @@ def test_canonical_form_multiplicity_sensitive():
 
 
 def test_canonical_form_size_limit():
-    big = MultiGraph(26, [(i, i + 1) for i in range(1, 26)])
-    with pytest.raises(CapabilityError):
-        canonical_form(big)
+    assert CANON_VERTEX_LIMIT == 24
+    for n in (25, 26):
+        path = MultiGraph(n, [(i, i + 1) for i in range(1, n)])
+        with pytest.raises(CapabilityError, match=f"limited to 24 vertices, got {n}"):
+            canonical_form(path)
+
+
+def _relabeled(rng: random.Random, g: MultiGraph) -> MultiGraph:
+    image = list(g.vertices)
+    rng.shuffle(image)
+    to = dict(zip(g.vertices, image))
+    return MultiGraph(g.vertices, [tuple(to[x] for x in g.endpoints(e)) for e in g.edge_ids])
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,24 +188,49 @@ def test_canonical_form_size_limit():
 def test_canonical_form_invariant_under_relabeling(seed, n, extra):
     rng = random.Random(seed)
     g = random_graph(rng, n, extra)
-    perm = list(range(1, n + 1))
-    rng.shuffle(perm)
-    relabel = {v: perm[i] for i, v in enumerate(sorted(g.vertices))}
-    h = MultiGraph(n, [tuple(map(relabel.get, g.endpoints(e))) for e in g.edge_ids])
-    assert canonical_form(g) == canonical_form(h)
+    assert canonical_form(g) == canonical_form(_relabeled(rng, g))
 
 
 def test_canonical_form_size_limit_is_inclusive(monkeypatch):
-    # both sides of CANON_VERTEX_LIMIT: K12,12 has n = 24 and 2 * 12!^2
-    # leaves, so it gets a form under a 5,000-node budget only because
-    # automorphisms prune the search; one vertex more is refused.
-    assert CANON_VERTEX_LIMIT == 24
+    # K12,12 has n = CANON_VERTEX_LIMIT and 2 * 12!^2 leaves, so it gets
+    # a form under a 5,000-node budget only because automorphisms prune
+    # the search.
     monkeypatch.setattr(matchcover.multigraph, "_CANON_NODE_BUDGET", 5_000)
     k = MultiGraph(24, [(i, j) for i in range(1, 13) for j in range(13, 25)])
     assert canonical_form(k).n == 24
-    path = MultiGraph(25, [(i, i + 1) for i in range(1, 25)])
-    with pytest.raises(CapabilityError, match="limited to 24 vertices, got 25"):
-        canonical_form(path)
+
+
+def test_orbit_fold_leaves_out_automorphisms_that_move_the_prefix():
+    # prefix (2,): swapping 0 and 1 fixes it, swapping 2 and 3 does not
+    orbit = list(range(4))
+    _fold_fixing(orbit, [[0, 1, 3, 2], [1, 0, 2, 3]], (2,))
+    roots = [_find(orbit, v) for v in range(4)]
+    assert roots[0] == roots[1]
+    assert len(set(roots)) == 3
+
+
+def test_canonical_form_folds_automorphisms_through_the_prefix_filter(monkeypatch):
+    # Every node's orbits come from _fold_fixing with the node's prefix,
+    # and on K3,3 some stored automorphisms move a node's prefix (so the
+    # filter tested above decides what gets pruned).
+    calls = []
+
+    def spy(orbit, autos, prefix):
+        calls.append((list(autos), prefix))
+        _fold_fixing(orbit, autos, prefix)
+
+    monkeypatch.setattr(matchcover.multigraph, "_fold_fixing", spy)
+    g = named_graph("K3,3")
+    assert canonical_form(g) == brute_canonical_form(g)
+    edges = sorted(sorted(g.endpoints(e)) for e in g.edge_ids)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    moved = 0
+    for autos, prefix in calls:
+        for auto in autos:
+            image = sorted(sorted(g.vertices[auto[index[x]]] for x in ends) for ends in edges)
+            assert image == edges
+            moved += any(auto[p] != p for p in prefix)
+    assert moved > 0
 
 
 def test_canonical_form_budget_refusal_names_phase_limit_and_setting(monkeypatch):
@@ -228,13 +264,6 @@ def _random_regular(rng: random.Random, n: int, d: int) -> MultiGraph:
         pairs = list(zip(stubs[::2], stubs[1::2]))
         if all(u != v for u, v in pairs):
             return MultiGraph(n, pairs)
-
-
-def _relabeled(rng: random.Random, g: MultiGraph) -> MultiGraph:
-    image = list(g.vertices)
-    rng.shuffle(image)
-    to = dict(zip(g.vertices, image))
-    return MultiGraph(g.vertices, [tuple(to[x] for x in g.endpoints(e)) for e in g.edge_ids])
 
 
 def _symmetric_multigraph(rng: random.Random) -> MultiGraph:

@@ -1,8 +1,7 @@
 """Parent/change benchmark pairs, written to a BENCH file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \
-        [--workload W ...] [--seed S ...] [--pairs 10] [--seconds 30] \
-        [--trace] [--append]
+        [--workload W ...] [--seed S ...] [--pairs 10] [--trace] [--append]
 
 DIR is a checkout holding ``perfbench/run.py`` and ``src/``; each run
 benchmarks the code of its own checkout, and the git tree id of each
@@ -31,9 +30,9 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+def _run(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
+           "--seed", str(seed), "--trace", str(int(trace))]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -80,7 +79,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seed", type=int, action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--append", action="store_true")
     args = ap.parse_args(argv)
@@ -100,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             for pair in range(args.pairs):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result = _run(checkouts[side], workload, seed, args.seconds, False)
+                    result = _run(checkouts[side], workload, seed, False)
                     result.update(key=key, pair=pair, side=side, first=order[0])
                     runs.append(result)
                     wall = result["metrics"]["wall_s"]["value"]
@@ -111,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.trace:
                 traced = {}
                 for side in SIDES:
-                    metrics = _run(checkouts[side], workload, seed, args.seconds, True)["metrics"]
+                    metrics = _run(checkouts[side], workload, seed, True)["metrics"]
                     traced[side] = {k: v["value"] for k, v in metrics.items()}
                 traced["delta"] = {k: traced["change"][k] - traced["parent"].get(k, 0)
                                    for k in traced["change"]}
