@@ -241,7 +241,8 @@ def exhaustive_nontrivial_tight_cut(
     cross-check authority for the certified search."""
     if g.n > limit:
         raise CapabilityError(
-            f"tightness undecided: exhaustive search limited to {limit} vertices"
+            f"exhaustive tight-cut search: tightness undecided, limited to {limit} "
+            f"vertices, got {g.n} (default cuts.EXHAUSTIVE_LIMIT; pass limit= to raise it)"
         )
     for shore in _odd_nontrivial_shores(g):
         cut = g.cut(shore)
@@ -414,7 +415,8 @@ def nontrivial_separating_cut(
         return None
     if g.n > limit:
         raise CapabilityError(
-            f"separating cut search limited to {limit} vertices"
+            f"separating cut search: odd-shore scan limited to {limit} vertices, "
+            f"got {g.n} (default cuts.EXHAUSTIVE_LIMIT; pass limit= to raise it)"
         )
     for shore in _odd_nontrivial_shores(g):
         cand = g.cut(shore)

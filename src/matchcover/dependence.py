@@ -4,8 +4,14 @@ removable edges/classes.
 An edge e depends on f when every perfect matching through e also uses
 f; operationally, e is inadmissible once f is deleted.  ``_depends`` is
 the one place that test is made; the memoized ``g - f`` it runs on is
-shared by every query, ``removable_edges`` included.  Mutual dependence
-partitions the edge set; epsilon is the largest class size.
+shared by every query.  Mutual dependence partitions the edge set;
+epsilon is the largest class size.
+
+Removability is read off the memoized partition in one pass (Carvalho,
+Lucchesi and Murty 1999): a class R is removable exactly when no edge
+outside R depends on an edge of R and ``g - R`` is connected, and an
+edge is removable exactly when it is a removable singleton class.  So
+removability, like the partition, needs a matching covered graph.
 """
 
 from __future__ import annotations
@@ -100,28 +106,48 @@ def epsilon(g: MultiGraph) -> int:
     return equivalence_partition(g).epsilon
 
 
-def _reject_k2(g: MultiGraph) -> None:
+def _require_removability(g: MultiGraph) -> None:
     if g.n == 2:
         raise DomainError("edge removability is undefined on a graph of order 2")
+    if not is_matching_covered(g):
+        raise DomainError("removability needs a matching covered graph")
+
+
+def _removable(g: MultiGraph, r: frozenset[int]) -> bool:
+    """Is g - r matching covered, for r one edge or one class?
+
+    The edges of a class are mutually dependent, so a perfect matching
+    that avoids ``min(r)`` avoids all of r: an edge f outside r lies in
+    a perfect matching of g - r exactly when it does not depend on
+    ``min(r)``.
+    """
+    e = min(r)
+    rest = g.delete_edge(e) if len(r) == 1 else g.delete_edges(r)
+    return rest.is_connected and not any(
+        _depends(g, f, e) for f in g.edge_ids if f not in r
+    )
+
+
+@_memoized
+def _removable_classes(g: MultiGraph) -> tuple[frozenset[int], ...]:
+    return tuple(c for c in equivalence_partition(g).classes if _removable(g, c))
 
 
 def is_removable_edge(g: MultiGraph, e: int) -> bool:
     """Is g - e still matching covered?"""
-    _reject_k2(g)
+    _require_removability(g)
     _check_ids(g, e)
-    return is_matching_covered(g.delete_edge(e))
+    return _removable(g, frozenset((e,)))
 
 
 def removable_edges(g: MultiGraph) -> tuple[int, ...]:
-    _reject_k2(g)
-    return tuple(e for e in g.edge_ids if is_matching_covered(g.delete_edge(e)))
+    """The removable edges, in id order: the members of the removable
+    singleton classes (an edge of a larger class is never removable)."""
+    _require_removability(g)
+    return tuple(min(c) for c in _removable_classes(g) if len(c) == 1)
 
 
 def removable_classes(g: MultiGraph) -> tuple[frozenset[int], ...]:
     """The classes R of the partition for which g - R is matching covered."""
-    _reject_k2(g)
-    return tuple(
-        c
-        for c in equivalence_partition(g).classes
-        if is_matching_covered(g.delete_edges(c))
-    )
+    _require_removability(g)
+    return _removable_classes(g)

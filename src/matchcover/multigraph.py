@@ -540,7 +540,8 @@ def canonical_form(g: MultiGraph) -> CanonicalForm:
     """
     if g.n > CANON_VERTEX_LIMIT:
         raise CapabilityError(
-            f"canonical form limited to {CANON_VERTEX_LIMIT} vertices, got {g.n}"
+            f"canonical form: limited to {CANON_VERTEX_LIMIT} vertices, got {g.n} "
+            f"(multigraph.CANON_VERTEX_LIMIT)"
         )
     index = {v: i for i, v in enumerate(g.vertices)}
     n = g.n

@@ -2,14 +2,20 @@
 
 Everything here is deliberately naive: straight recursion and full
 enumeration, no shared state with the library beyond the MultiGraph
-accessors. Keep it that way.
+accessors. Keep it that way.  The one exception is the pair
+``brute_removable_edges`` / ``brute_removable_classes``: they keep the
+library's earlier removability, which asked the matching engine whether
+each ``g - e`` and each ``g - R`` is matching covered; ``pm_removable``
+decides the same question from the perfect matchings alone.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from matchcover.errors import CapabilityError
+from matchcover.dependence import equivalence_partition
+from matchcover.errors import CapabilityError, DomainError
+from matchcover.matching import is_matching_covered
 from matchcover.multigraph import CanonicalForm, MultiGraph
 
 
@@ -91,6 +97,36 @@ def incidence_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
         key = frozenset(i for i, pm in enumerate(pms) if e in pm)
         groups.setdefault(key, set()).add(e)
     return tuple(sorted((frozenset(s) for s in groups.values()), key=min))
+
+
+def _reject_k2(g: MultiGraph) -> None:
+    if g.n == 2:
+        raise DomainError("edge removability is undefined on a graph of order 2")
+
+
+def brute_removable_edges(g: MultiGraph) -> tuple[int, ...]:
+    _reject_k2(g)
+    return tuple(e for e in g.edge_ids if is_matching_covered(g.delete_edge(e)))
+
+
+def brute_removable_classes(g: MultiGraph) -> tuple[frozenset[int], ...]:
+    """The classes R of the partition for which g - R is matching covered."""
+    _reject_k2(g)
+    return tuple(
+        c
+        for c in equivalence_partition(g).classes
+        if is_matching_covered(g.delete_edges(c))
+    )
+
+
+def pm_removable(g: MultiGraph, removed: frozenset[int]) -> bool:
+    """Is g - removed matching covered?  From the definition: it is
+    connected and every other edge lies in a perfect matching of g that
+    avoids every removed edge."""
+    if len(g.delete_edges(removed).components()) != 1:
+        return False
+    covered = set().union(*(pm for pm in all_pms(g) if not pm & removed))
+    return all(f in covered for f in g.edge_ids if f not in removed)
 
 
 def direct_is_tight(g: MultiGraph, cut_edges: frozenset[int]) -> bool:

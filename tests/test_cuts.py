@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchcover.cuts import (
+    EXHAUSTIVE_LIMIT,
     classify,
     contractions,
     exhaustive_nontrivial_tight_cut,
@@ -88,9 +89,30 @@ def test_find_agrees_with_exhaustive():
 
 
 def test_exhaustive_limit():
-    g = named_graph("C26")
-    with pytest.raises(CapabilityError):
-        exhaustive_nontrivial_tight_cut(g, limit=24)
+    # Both sides of the default limit.  The first odd shore of C24 is
+    # tight, so the scan at the limit ends at once.
+    assert EXHAUSTIVE_LIMIT == 24
+    g = named_graph("C24")
+    slow = exhaustive_nontrivial_tight_cut(g)
+    assert slow is not None and slow.shore == {1, 2, 3}
+    fast = find_nontrivial_tight_cut(g)
+    assert fast is not None and is_tight_cut(g, slow) and is_tight_cut(g, fast)
+    refusal = (
+        r"exhaustive tight-cut search: .*limited to 24 vertices, got 26 "
+        r"\(default cuts\.EXHAUSTIVE_LIMIT; pass limit= to raise it\)"
+    )
+    with pytest.raises(CapabilityError, match=refusal):
+        exhaustive_nontrivial_tight_cut(named_graph("C26"))
+
+
+def test_separating_cut_refusal_names_phase_limit_and_setting():
+    # The Petersen graph is a brick, so only the odd-shore scan is left.
+    refusal = (
+        r"separating cut search: .*limited to 8 vertices, got 10 "
+        r"\(default cuts\.EXHAUSTIVE_LIMIT; pass limit= to raise it\)"
+    )
+    with pytest.raises(CapabilityError, match=refusal):
+        nontrivial_separating_cut(named_graph("petersen"), limit=8)
 
 
 def test_separating_cut_examples():

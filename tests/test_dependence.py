@@ -19,8 +19,14 @@ from matchcover.errors import DomainError
 from matchcover.generators import labeled_edge, named_graph
 from matchcover.matching import is_matching_covered
 from matchcover.multigraph import MultiGraph
+from matchcover.structure import canonical_partition, even_2cuts
 
-from _oracles import incidence_partition
+from _oracles import (
+    brute_removable_classes,
+    brute_removable_edges,
+    incidence_partition,
+    pm_removable,
+)
 from conftest import (
     corpus_params,
     random_mc_graph,
@@ -180,3 +186,58 @@ def test_dependence_transitive_through_classes(seed):
             for i, e in enumerate(members):
                 for f in members[i + 1 :]:
                     assert mutually_dependent(k, e, f)
+
+
+def _assert_removability_agrees(g: MultiGraph) -> None:
+    edges = removable_edges(g)
+    classes = removable_classes(g)
+    assert edges == brute_removable_edges(g)
+    assert classes == brute_removable_classes(g)
+    assert [is_removable_edge(g, e) for e in g.edge_ids] == [e in edges for e in g.edge_ids]
+    if g.n <= 8:
+        for e in g.edge_ids:
+            assert pm_removable(g, frozenset((e,))) == (e in edges)
+        for c in equivalence_partition(g):
+            assert pm_removable(g, c) == (c in classes)
+
+
+@pytest.mark.parametrize("g", corpus_params())
+def test_removability_agrees_with_per_edge_tests(g):
+    _assert_removability_agrees(g)
+
+
+@pytest.mark.parametrize("n", (18, 20))
+def test_removability_agrees_with_per_edge_tests_on_sparse_graphs(n):
+    for g in sparse_mc_graphs(n):
+        _assert_removability_agrees(g)
+
+
+def test_removability_agrees_on_seeded_random_graphs():
+    # Half non-bipartite (removable classes of two edges occur only
+    # there), and a third with one edge doubled.
+    rng = random.Random(7_2019)
+    larger_removable = 0
+    for i in range(120):
+        make = random_mc_graph if i % 2 else random_nonbipartite_mc_graph
+        g = make(rng, rng.choice((6, 8, 10)), rng.randrange(2, 10))
+        if i % 3 == 0:
+            g = g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0]
+        _assert_removability_agrees(g)
+        larger_removable += any(len(c) >= 2 for c in removable_classes(g))
+    assert larger_removable >= 40
+
+
+def test_removability_needs_a_matching_covered_graph():
+    # like the partitions and the even 2-cuts read off them
+    g = MultiGraph(4, [(1, 2), (2, 3), (3, 4)])  # edge 2 is in no perfect matching
+    queries = (
+        removable_edges,
+        removable_classes,
+        lambda h: is_removable_edge(h, 1),
+        even_2cuts,
+        equivalence_partition,
+        canonical_partition,
+    )
+    for query in queries:
+        with pytest.raises(DomainError, match="matching covered"):
+            query(g)

@@ -18,10 +18,15 @@ from matchcover.cuts import (
     tight_cut_decomposition,
     verify_bounds,
 )
-from matchcover.dependence import class_of, equivalence_partition, removable_edges
+from matchcover.dependence import (
+    class_of,
+    equivalence_partition,
+    removable_classes,
+    removable_edges,
+)
 from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.generators import named_graph
-from matchcover.matching import _engine
+from matchcover.matching import _engine, matchable_minus
 from matchcover.multigraph import MultiGraph
 from matchcover.structure import _even_2cuts, even_2cuts
 
@@ -116,6 +121,58 @@ def test_dependence_queries_share_each_edge_deletion():
         sys.setprofile(None)
     assert len(runs) == g.m
     assert set(runs.values()) == {1}
+
+
+def test_removable_classes_reuse_the_removable_edges_pass():
+    # One pass over the partition answers both; C6bar has removable
+    # classes of two edges and non-removable singletons.
+    g = named_graph("C6bar")
+    removable_edges(g)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is matchable_minus.__code__:
+            calls.append(frame.f_locals["g"])
+
+    sys.setprofile(profile)
+    try:
+        classes = removable_classes(g)
+    finally:
+        sys.setprofile(None)
+    assert len(classes) == 3
+    assert calls == []
+
+
+def test_removability_builds_no_engine_for_a_class_deletion(monkeypatch):
+    # Every g - R that delete_edges builds outside the memoized
+    # delete_edge stays without a matching engine during an analysis.
+    deleted, memoized, engines = [], [], []
+    delete_edges, delete_edge = MultiGraph.delete_edges, MultiGraph.delete_edge
+
+    def spy_edges(self, ids):
+        deleted.append(delete_edges(self, ids))
+        return deleted[-1]
+
+    def spy_edge(self, e):
+        memoized.append(delete_edge(self, e))
+        return memoized[-1]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is _engine.__wrapped__.__code__:
+            engines.append(frame.f_locals["g"])
+
+    monkeypatch.setattr(MultiGraph, "delete_edges", spy_edges)
+    monkeypatch.setattr(MultiGraph, "delete_edge", spy_edge)
+    g = named_graph("C6bar")
+    sys.setprofile(profile)
+    try:
+        report, code = build_analysis(g, "C6bar", "", decompose=True)
+    finally:
+        sys.setprofile(None)
+    assert code == 0 and report["removableClasses"] == [[1, 4], [2, 5], [3, 6]]
+    class_deletions = {id(h) for h in deleted} - {id(h) for h in memoized}
+    assert class_deletions
+    assert [h for h in engines if id(h) in class_deletions] == []
 
 
 def test_unreachable_cut_phase_raises(monkeypatch):

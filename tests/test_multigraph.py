@@ -172,8 +172,9 @@ def test_canonical_form_size_limit():
     assert CANON_VERTEX_LIMIT == 24
     for n in (25, 26):
         path = MultiGraph(n, [(i, i + 1) for i in range(1, n)])
-        with pytest.raises(CapabilityError, match=f"limited to 24 vertices, got {n}"):
+        with pytest.raises(CapabilityError, match=f"limited to 24 vertices, got {n}") as info:
             canonical_form(path)
+        assert "multigraph.CANON_VERTEX_LIMIT" in str(info.value)
 
 
 def _relabeled(rng: random.Random, g: MultiGraph) -> MultiGraph:
