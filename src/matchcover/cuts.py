@@ -1,12 +1,14 @@
 """Tight and separating cuts, cut discovery, the two decompositions,
 brick/brace classification, and the epsilon upper-bound checks.
 
-Cut discovery runs cheap complete phases first (barrier cuts, cuts from
-2-vertex separations), then certifies leaves exactly: bipartite graphs
-by the brace characterization (a failing 4-tuple deletion yields a
-Hall-type set S with |N(S)| = |S| + 1 whose closed neighborhood is a
-verified tight shore), nonbipartite ones by the
-3-connected-plus-bicritical brick test.  A raw exhaustive odd-shore
+Cut discovery is one lazy stream of verified cuts: cheap complete
+phases first (barrier cuts, cuts from 2-vertex separations), then, only
+when both are empty, an exact leaf certificate.  Bipartite graphs are
+certified by the brace characterization (a failing 4-tuple deletion
+yields a Hall-type set S with |N(S)| = |S| + 1 whose closed neighborhood
+is a verified tight shore), nonbipartite ones by the brick test:
+3-connected and bicritical, where bicriticality is read off the memoized
+canonical partition (all parts singletons).  A raw exhaustive odd-shore
 scan stays available as the cross-check authority; the certified search
 never falls back to it.  The first tight cut and the default
 decomposition are memoized per graph.
@@ -18,23 +20,20 @@ import dataclasses
 import random
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .dependence import epsilon
 from .errors import CapabilityError, DomainError, VerificationError
 from .matching import (
+    _require_mc,
     has_pm_containing,
     is_matching_covered,
     matchable_minus,
     maximum_matching,
 )
 from .multigraph import CanonicalForm, Cut, MultiGraph, _memoized, canonical_form
-from .structure import (
-    canonical_partition,
-    even_2cuts,
-    is_bicritical,
-    vertex_connectivity,
-)
+from .structure import canonical_partition, even_2cuts, vertex_connectivity
 
 EXHAUSTIVE_LIMIT = 24
 
@@ -86,18 +85,16 @@ def is_separating_cut(g: MultiGraph, c: Cut | frozenset[int]) -> bool:
 
 def barrier_cuts(g: MultiGraph) -> list[Cut]:
     """Nontrivial cuts around components of g - B, for each nontrivial
-    maximal barrier B of the canonical partition."""
+    maximal barrier B of the canonical partition (a cut seen from two
+    barriers is listed twice; the cut search skips repeats)."""
     out: list[Cut] = []
-    seen: set[Cut] = set()
     for part in canonical_partition(g):
         if len(part) < 2:
             continue
         for comp in g.components(part):
             cut = g.cut(comp)
-            if cut.is_trivial or cut in seen:
-                continue
-            seen.add(cut)
-            out.append(cut)
+            if not cut.is_trivial:
+                out.append(cut)
     return out
 
 
@@ -123,20 +120,6 @@ def _two_separation_candidates(g: MultiGraph) -> list[Cut]:
                 seen.add(shore)
                 out.append(g.cut(shore))
     return out
-
-
-def _phase_candidates(g: MultiGraph) -> Iterator[Cut]:
-    seen: set[Cut] = set()
-    for cut in barrier_cuts(g):
-        if cut not in seen:
-            seen.add(cut)
-            if is_tight_cut(g, cut):
-                yield cut
-    for cut in _two_separation_candidates(g):
-        if cut not in seen:
-            seen.add(cut)
-            if is_tight_cut(g, cut):
-                yield cut
 
 
 def _brace_obstruction(
@@ -205,28 +188,22 @@ def _bipartite_tight_cut(
     return cut
 
 
-def _certified_leaf_or_cut(g: MultiGraph) -> Optional[Cut]:
-    parts = g.bipartition()
-    if parts is not None:
-        return _bipartite_tight_cut(g, parts)
-    if vertex_connectivity(g) >= 3 and is_bicritical(g):
-        return None
-    # Edmonds-Lovasz-Pulleyblank (1982): a nonbipartite matching covered
-    # graph with no barrier cut and no 2-separation cut is a brick, so
-    # reaching this line means an engine inconsistency.
-    raise VerificationError(
-        "tight-cut-phases",
-        "no barrier or 2-separation cut, yet not 3-connected and bicritical",
-    )
+def _brick_certificate(g: MultiGraph) -> bool:
+    # Edmonds-Lovasz-Pulleyblank (1982): a brick is 3-connected and
+    # bicritical, and a matching covered graph is bicritical exactly
+    # when every part of its memoized canonical partition is a singleton.
+    return vertex_connectivity(g) >= 3 and len(canonical_partition(g)) == g.n
 
 
-def _require_mc(g: MultiGraph, what: str) -> None:
-    if not is_matching_covered(g):
-        raise DomainError(f"{what} needs a matching covered graph")
-
-
-def _odd_nontrivial_shores(g: MultiGraph) -> Iterator[frozenset[int]]:
+def _odd_nontrivial_shores(
+    g: MultiGraph, limit: int, refusal: str
+) -> Iterator[frozenset[int]]:
     # Each cut appears once: enumerate only shores holding the minimum vertex.
+    if g.n > limit:
+        raise CapabilityError(
+            f"{refusal} limited to {limit} vertices, got {g.n} "
+            f"(default cuts.EXHAUSTIVE_LIMIT; pass limit= to raise it)"
+        )
     verts = g.vertices
     v0, rest = verts[0], verts[1:]
     for size in range(3, g.n - 2, 2):
@@ -239,42 +216,59 @@ def exhaustive_nontrivial_tight_cut(
 ) -> Optional[Cut]:
     """First nontrivial tight cut by raw odd-shore enumeration; the
     cross-check authority for the certified search."""
-    if g.n > limit:
-        raise CapabilityError(
-            f"exhaustive tight-cut search: tightness undecided, limited to {limit} "
-            f"vertices, got {g.n} (default cuts.EXHAUSTIVE_LIMIT; pass limit= to raise it)"
-        )
-    for shore in _odd_nontrivial_shores(g):
+    refusal = "exhaustive tight-cut search: tightness undecided,"
+    for shore in _odd_nontrivial_shores(g, limit, refusal):
         cut = g.cut(shore)
         if is_tight_cut(g, cut):
             return cut
     return None
 
 
+def _tight_cuts(g: MultiGraph) -> Iterator[Cut]:
+    # The one cut search.  Each phase runs only when the stream is read
+    # past the cuts of the one before, so a caller that takes the first
+    # barrier cut never pays for the 2-separation scan.
+    _require_mc(g, "tight cut search")
+    if g.n < 6:
+        return
+    seen: set[Cut] = set()
+    found = False
+    for phase in (barrier_cuts, _two_separation_candidates):
+        for cut in phase(g):
+            if cut not in seen:
+                seen.add(cut)
+                if is_tight_cut(g, cut):
+                    found = True
+                    yield cut
+    if found:
+        return
+    parts = g.bipartition()
+    if parts is not None:
+        cut = _bipartite_tight_cut(g, parts)
+        if cut is not None:
+            yield cut
+    elif not _brick_certificate(g):
+        # A nonbipartite matching covered graph with no barrier cut and
+        # no 2-separation cut is a brick, so reaching this line means an
+        # engine inconsistency.
+        raise VerificationError(
+            "tight-cut-phases",
+            "no barrier or 2-separation cut, yet not 3-connected and bicritical",
+        )
+
+
 @_memoized
 def find_nontrivial_tight_cut(g: MultiGraph) -> Optional[Cut]:
     """A verified nontrivial tight cut, or None when provably none
     exists; computed once per graph."""
-    _require_mc(g, "tight cut search")
-    if g.n < 6:
-        return None
-    for cut in _phase_candidates(g):
-        return cut
-    return _certified_leaf_or_cut(g)
+    return next(_tight_cuts(g), None)
 
 
 def tight_cut_candidates(g: MultiGraph) -> list[Cut]:
     """All verified cuts the polynomial phases can see (used by the
     cut-choice strategies); falls back to the certified tail when the
     phases are empty."""
-    _require_mc(g, "tight cut search")
-    if g.n < 6:
-        return []
-    cands = list(_phase_candidates(g))
-    if cands:
-        return cands
-    cut = _certified_leaf_or_cut(g)
-    return [] if cut is None else [cut]
+    return list(_tight_cuts(g))
 
 
 def make_chooser(strategy: str = "first") -> Callable[[MultiGraph], Optional[Cut]]:
@@ -282,22 +276,21 @@ def make_chooser(strategy: str = "first") -> Callable[[MultiGraph], Optional[Cut
     if strategy == "first":
         return find_nontrivial_tight_cut
     if strategy == "reverse":
-        def choose_last(g: MultiGraph) -> Optional[Cut]:
-            cands = tight_cut_candidates(g)
-            return cands[-1] if cands else None
-        return choose_last
-    if strategy.startswith("random"):
+        pick = itemgetter(-1)
+    elif strategy.startswith("random"):
         _, _, seed_text = strategy.partition(":")
         try:
             seed = int(seed_text) if seed_text else 0
         except ValueError:
             raise DomainError(f"strategy seed must be an integer: {strategy!r}") from None
-        rng = random.Random(seed)
-        def choose_random(g: MultiGraph) -> Optional[Cut]:
-            cands = tight_cut_candidates(g)
-            return rng.choice(cands) if cands else None
-        return choose_random
-    raise DomainError(f"unknown cut-choice strategy {strategy!r}")
+        pick = random.Random(seed).choice
+    else:
+        raise DomainError(f"unknown cut-choice strategy {strategy!r}")
+
+    def choose(g: MultiGraph) -> Optional[Cut]:
+        cands = tight_cut_candidates(g)
+        return pick(cands) if cands else None
+    return choose
 
 
 # -- decompositions ----------------------------------------------------------
@@ -413,12 +406,7 @@ def nontrivial_separating_cut(
         return cut
     if g.is_bipartite:
         return None
-    if g.n > limit:
-        raise CapabilityError(
-            f"separating cut search: odd-shore scan limited to {limit} vertices, "
-            f"got {g.n} (default cuts.EXHAUSTIVE_LIMIT; pass limit= to raise it)"
-        )
-    for shore in _odd_nontrivial_shores(g):
+    for shore in _odd_nontrivial_shores(g, limit, "separating cut search: odd-shore scan"):
         cand = g.cut(shore)
         if is_separating_cut(g, cand):
             return cand

@@ -20,7 +20,7 @@ import dataclasses
 from typing import Iterable
 
 from .errors import DomainError
-from .matching import has_pm_containing, is_matching_covered
+from .matching import _require_mc, has_pm_containing
 from .multigraph import MultiGraph, _memoized, _partition
 
 
@@ -78,8 +78,7 @@ def equivalence_partition(g: MultiGraph) -> EquivalencePartition:
     O(m^2) pairwise tests joined by union-find; pairs already joined
     transitively are skipped.
     """
-    if not is_matching_covered(g):
-        raise DomainError("equivalence partition needs a matching covered graph")
+    _require_mc(g, "equivalence partition")
     return EquivalencePartition(
         _partition(g.edge_ids, lambda e, f: _depends(g, e, f) and _depends(g, f, e))
     )
@@ -109,8 +108,7 @@ def epsilon(g: MultiGraph) -> int:
 def _require_removability(g: MultiGraph) -> None:
     if g.n == 2:
         raise DomainError("edge removability is undefined on a graph of order 2")
-    if not is_matching_covered(g):
-        raise DomainError("removability needs a matching covered graph")
+    _require_mc(g, "removability")
 
 
 def _removable(g: MultiGraph, r: frozenset[int]) -> bool:

@@ -32,7 +32,7 @@ from .errors import DomainError, MatchcoverError, VerificationError
 from .matching import is_admissible, is_matching_covered, maximum_matching
 from .multigraph import Cut, MultiGraph
 from .splicing import SpliceSpec, splice
-from .structure import is_barrier, is_bicritical, vertex_connectivity
+from .structure import is_barrier, vertex_connectivity
 
 # Shore of the splicing cut each figure graph is drawn with.
 MARKED_CUT_SHORES = {
@@ -196,7 +196,6 @@ class ConstructionTrace:
     block_u_mapped: tuple[frozenset[int], ...]  # U_i - u_i, ids in G_i
     block_v_mapped: tuple[frozenset[int], ...]  # V_i, ids in G_i
     f_local: tuple[int, ...]  # f_i in block-local ids
-    pi_maps: tuple[dict, ...]
     b0: frozenset[int]
     misrouted: bool = False
 
@@ -313,7 +312,6 @@ def build_high_kappa_epsilon(
     graphs = []
     cuts = []
     f_edges = [f0]
-    pi_maps = []
     block_u_mapped = []
     block_v_mapped = []
     current = g0
@@ -334,7 +332,6 @@ def build_high_kappa_epsilon(
         result = splice(SpliceSpec(current, a_i, block, u_local, pi))
         graphs.append(result.graph)
         cuts.append(result.cut)
-        pi_maps.append(pi)
         f_edges.append(result.edge_map[f_local[i - 1]])
         block_u_mapped.append(
             frozenset(result.vertex_map[w] for w in u_set_local if w != u_local)
@@ -362,7 +359,6 @@ def build_high_kappa_epsilon(
         block_u_mapped=tuple(block_u_mapped),
         block_v_mapped=tuple(block_v_mapped),
         f_local=tuple(f_local),
-        pi_maps=tuple(pi_maps),
         b0=frozenset().union(*copy_b),
         misrouted=misroute,
     )
@@ -384,7 +380,7 @@ def _brick_both_routes(j: MultiGraph) -> tuple[bool, str]:
         return False, "not matching covered"
     if j.is_bipartite:
         return False, "bipartite"
-    fast = vertex_connectivity(j) >= 3 and is_bicritical(j)
+    fast = classify(j) == "brick"
     if j.n > EXHAUSTIVE_LIMIT:
         return fast, f"fast path {'passed' if fast else 'failed'}; exhaustive scan skipped at {j.n} vertices"
     exhaustive = exhaustive_nontrivial_tight_cut(j) is None

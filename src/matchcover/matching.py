@@ -245,6 +245,12 @@ def is_matching_covered(g: MultiGraph) -> bool:
     )
 
 
+def _require_mc(g: MultiGraph, what: str) -> None:
+    """The matching-covered precondition: ``DomainError`` naming ``what``."""
+    if not is_matching_covered(g):
+        raise DomainError(f"{what} needs a matching covered graph")
+
+
 # -- perfect matching enumeration -------------------------------------------
 
 
@@ -267,8 +273,10 @@ def enumerate_pms(g: MultiGraph, budget: int | None = None) -> list[frozenset[in
             results.append(frozenset(chosen))
             if len(results) > limit:
                 raise CapabilityError(
-                    f"more than {limit} perfect matchings; raise the budget "
-                    f"({BUDGET_ENV_VAR}) or use the polynomial predicates"
+                    f"perfect matching enumeration: limited to {limit} matchings, "
+                    f"found more (default matching.DEFAULT_PM_BUDGET; set "
+                    f"{BUDGET_ENV_VAR} or pass budget= to raise it, or use the "
+                    f"polynomial predicates)"
                 )
             return
         if not matchable_minus(g, covered):

@@ -161,8 +161,8 @@ def splice_variants(
         )
     if len(star1) > VARIANT_DEGREE_LIMIT:
         raise CapabilityError(
-            f"variant sweep over {len(star1)}! bijections refused "
-            f"(degree limit {VARIANT_DEGREE_LIMIT})"
+            f"splice variants: limited to stars of {VARIANT_DEGREE_LIMIT} edges, "
+            f"got {len(star1)} (splicing.VARIANT_DEGREE_LIMIT)"
         )
     out: dict[CanonicalForm, SpliceResult] = {}
     for perm in permutations(star2):

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .dependence import equivalence_partition
 from .errors import DomainError, VerificationError
-from .matching import is_matching_covered, matchable_minus
+from .matching import _require_mc, matchable_minus
 from .multigraph import Cut, MultiGraph, _memoized, _partition
 
 
@@ -37,8 +37,7 @@ def canonical_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
     barrier, so an engine bug surfaces as a hard error rather than a
     wrong partition.  Parts are sorted by their smallest vertex.
     """
-    if not is_matching_covered(g):
-        raise DomainError("canonical partition needs a matching covered graph")
+    _require_mc(g, "canonical partition")
     parts = _partition(g.vertices, lambda u, v: not matchable_minus(g, (u, v)))
     for part in parts:
         if not is_barrier(g, part):

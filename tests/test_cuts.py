@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from matchcover.cuts import (
     EXHAUSTIVE_LIMIT,
+    _brick_certificate,
     classify,
     contractions,
     exhaustive_nontrivial_tight_cut,
@@ -16,6 +17,7 @@ from matchcover.cuts import (
     make_chooser,
     nontrivial_separating_cut,
     separating_cut_decomposition,
+    tight_cut_candidates,
     tight_cut_decomposition,
     verify_bounds,
 )
@@ -23,9 +25,10 @@ from matchcover.errors import CapabilityError, DomainError
 from matchcover.generators import MARKED_CUT_SHORES, named_graph
 from matchcover.matching import is_matching_covered
 from matchcover.multigraph import MultiGraph, canonical_form
+from matchcover.structure import is_bicritical, vertex_connectivity
 
 from _oracles import all_pms, direct_is_tight, odd_cuts_with_small_shore
-from conftest import corpus_params, random_mc_graph
+from conftest import _CORPUS, corpus_params, random_mc_graph, random_nonbipartite_mc_graph
 
 
 def test_marked_cut_verdicts():
@@ -308,3 +311,36 @@ def test_bipartite_separating_cuts_are_tight_random(seed):
             continue
         if is_separating_cut(g, g.cut(shore)):
             assert all(len(pm & edges) == 1 for pm in pms)
+
+
+def _certificate_inputs() -> list[MultiGraph]:
+    # The matching covered corpus graphs and 120 seeded nonbipartite
+    # ones, every third with one edge doubled.
+    graphs = [g for _, g in _CORPUS if is_matching_covered(g)]
+    rng = random.Random(8)
+    for i in range(120):
+        n = rng.choice((6, 8, 10))
+        g = random_nonbipartite_mc_graph(rng, n, rng.randrange(n))
+        if i % 3 == 0:
+            g = g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0]
+        graphs.append(g)
+    return graphs
+
+
+def test_brick_certificate_matches_the_pair_scan():
+    # Bicriticality off the canonical partition agrees with the public
+    # pair scan on both kinds of input.
+    bricks = not_bicritical = 0
+    for g in _certificate_inputs():
+        bicritical = is_bicritical(g)
+        expected = vertex_connectivity(g) >= 3 and bicritical
+        assert _brick_certificate(g) == expected, g
+        bricks += expected
+        not_bicritical += not bicritical
+    assert bricks >= 20 and not_bicritical >= 20
+
+
+def test_first_tight_cut_heads_the_candidate_stream():
+    for g in _certificate_inputs():
+        cands = tight_cut_candidates(g)
+        assert find_nontrivial_tight_cut(g) == (cands[0] if cands else None)

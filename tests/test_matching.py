@@ -121,7 +121,12 @@ def test_enumerate_pms_counts():
 
 
 def test_enumerate_pms_budget():
-    with pytest.raises(CapabilityError):
+    refusal = (
+        r"perfect matching enumeration: limited to 10 matchings, found more "
+        r"\(default matching\.DEFAULT_PM_BUDGET; set MATCHCOVER_BUDGET or "
+        r"pass budget= to raise it"
+    )
+    with pytest.raises(CapabilityError, match=refusal):
         enumerate_pms(named_graph("K4,4"), budget=10)
 
 

@@ -13,8 +13,10 @@ import matchcover.cuts
 from matchcover.cli import build_analysis
 from matchcover.cuts import (
     _first_cut_decomposition,
+    barrier_cuts,
     classify,
     find_nontrivial_tight_cut,
+    tight_cut_candidates,
     tight_cut_decomposition,
     verify_bounds,
 )
@@ -28,7 +30,7 @@ from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.generators import named_graph
 from matchcover.matching import _engine, matchable_minus
 from matchcover.multigraph import MultiGraph
-from matchcover.structure import _even_2cuts, even_2cuts
+from matchcover.structure import _even_2cuts, canonical_partition, even_2cuts
 
 
 def test_equivalence_partition_is_shared():
@@ -178,10 +180,53 @@ def test_removability_builds_no_engine_for_a_class_deletion(monkeypatch):
 def test_unreachable_cut_phase_raises(monkeypatch):
     # Pretend the brick test fails on a brick: the certified search must
     # refuse loudly rather than fall back to an exhaustive scan.
-    monkeypatch.setattr(matchcover.cuts, "is_bicritical", lambda g: False)
+    monkeypatch.setattr(matchcover.cuts, "_brick_certificate", lambda g: False)
     with pytest.raises(VerificationError) as info:
         find_nontrivial_tight_cut(named_graph("petersen"))
     assert info.value.check == "tight-cut-phases"
+
+
+@pytest.mark.parametrize("name", ["petersen", "C6bar"])
+def test_brick_test_reads_bicriticality_off_the_canonical_partition(name):
+    # Bicritical means every part of the memoized canonical partition is
+    # a singleton, so certifying a brick asks no pair query of its own
+    # (a pair scan would make n(n-1)/2 of them, 45 on the Petersen graph).
+    g = named_graph(name)
+    assert len(canonical_partition(g)) == g.n
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is matchable_minus.__code__:
+            calls.append(frame.f_locals["removed"])
+
+    sys.setprofile(profile)
+    try:
+        cut = find_nontrivial_tight_cut(g)
+    finally:
+        sys.setprofile(None)
+    assert cut is None and classify(g) == "brick"
+    assert calls == []
+
+
+def test_first_barrier_cut_skips_the_two_separation_phase(monkeypatch):
+    # The phases are read lazily: once the barrier phase gives a tight
+    # cut, the O(n^2) 2-separation scan never runs.
+    offered = []
+    original = matchcover.cuts._two_separation_candidates
+
+    def spy(g):
+        offered.append(g)
+        return original(g)
+
+    monkeypatch.setattr(matchcover.cuts, "_two_separation_candidates", spy)
+    g = named_graph("fig2c")
+    assert not g.is_bipartite
+    cut = find_nontrivial_tight_cut(g)
+    assert cut is not None and cut in barrier_cuts(g)
+    assert offered == []
+    # Reading the whole stream does run it.
+    assert tight_cut_candidates(g)[0] == cut
+    assert offered == [g]
 
 
 def test_vertex_connectivity_is_exported():

@@ -123,7 +123,11 @@ def test_splice_variants_dedup_and_membership():
 
 def test_splice_variants_degree_limit():
     big = named_graph("K10")
-    with pytest.raises(CapabilityError):
+    refusal = (
+        r"splice variants: limited to stars of 8 edges, got 9 "
+        r"\(splicing\.VARIANT_DEGREE_LIMIT\)"
+    )
+    with pytest.raises(CapabilityError, match=refusal):
         splice_variants(big, 1, named_graph("K10"), 1)
 
 
