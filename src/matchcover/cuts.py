@@ -3,10 +3,16 @@ brick/brace classification, and the epsilon upper-bound checks.
 
 Cut discovery is one lazy stream of verified cuts: cheap complete
 phases first (barrier cuts, cuts from 2-vertex separations), then, only
-when both are empty, an exact leaf certificate.  Bipartite graphs are
+when both are empty, an exact leaf certificate.  The 2-vertex
+separations come from the articulation points of each g - u, one
+depth-first search per vertex (Hopcroft-Tarjan).  Bipartite graphs are
 certified by the brace characterization (a failing 4-tuple deletion
 yields a Hall-type set S with |N(S)| = |S| + 1 whose closed neighborhood
-is a verified tight shore), nonbipartite ones by the brick test:
+is a verified tight shore); the 4-tuples are settled by one
+re-augmentation and one alternating search per deleted triple, not one
+matchability query each.  Both passes list exactly what the plain pair
+and 4-tuple scans list, in the same order.  Nonbipartite graphs are
+certified by the brick test:
 3-connected and bicritical, where bicriticality is read off the memoized
 canonical partition (all parts singletons).  A raw exhaustive odd-shore
 scan stays available as the cross-check authority; the certified search
@@ -26,10 +32,11 @@ from typing import Callable, Iterator, Optional
 from .dependence import epsilon
 from .errors import CapabilityError, DomainError, VerificationError
 from .matching import (
+    _augment,
+    _engine,
     _require_mc,
     has_pm_containing,
     is_matching_covered,
-    matchable_minus,
     maximum_matching,
 )
 from .multigraph import CanonicalForm, Cut, MultiGraph, _memoized, canonical_form
@@ -98,27 +105,78 @@ def barrier_cuts(g: MultiGraph) -> list[Cut]:
     return out
 
 
+def _articulation_points(
+    adj: tuple[tuple[int, ...], ...], skip: int
+) -> tuple[int, list[bool]]:
+    # Hopcroft-Tarjan (1973) on the index adjacency minus vertex `skip`:
+    # one iterative depth-first search with low points.  Returns how
+    # many vertices it reached and which of them are articulation points.
+    n = len(adj)
+    order = [0] * n  # discovery number from 1; 0 = not reached yet
+    low = [0] * n
+    cut = [False] * n
+    order[skip] = -1  # never entered and never a back-edge target
+    root = 1 if skip == 0 else 0
+    order[root] = low[root] = reached = 1
+    root_children = 0
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        v, rest = stack[-1]
+        for w in rest:
+            if order[w] == 0:
+                reached += 1
+                order[w] = low[w] = reached
+                stack.append((w, iter(adj[w])))
+                break
+            if 0 < order[w] < low[v]:
+                low[v] = order[w]
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if parent == root:
+                    root_children += 1
+                elif low[v] >= order[parent]:
+                    cut[parent] = True
+    cut[root] = root_children > 1
+    return reached, cut
+
+
 def _two_separation_candidates(g: MultiGraph) -> list[Cut]:
     # For every 2-vertex cut {u, v} and component K of g - u - v, the
     # shores K, K+u, K+v, K+uv are the only ways a tight cut can hug the
     # separation; each odd nontrivial one is offered for verification.
+    # {u, v} is a 2-vertex cut exactly when v is an articulation point of
+    # g - u, so one depth-first search per u finds the pairs, and
+    # `components` runs only on them, in the order of the pair scan.
     out: list[Cut] = []
     seen: set[frozenset[int]] = set()
     n = g.n
-    for u, v in combinations(g.vertices, 2):
-        comps = g.components((u, v))
-        if len(comps) < 2:
-            continue
-        for comp in comps:
-            for extra in ((), (u,), (v,), (u, v)):
-                shore = comp | frozenset(extra)
-                size = len(shore)
-                if size % 2 == 0 or size < 3 or n - size < 3:
-                    continue
-                if shore in seen:
-                    continue
-                seen.add(shore)
-                out.append(g.cut(shore))
+    verts = g.vertices
+    adj = _engine(g)[1]
+    for i, u in enumerate(verts):
+        reached, cut_vertex = _articulation_points(adj, i)
+        if reached != n - 1:
+            # A matching covered graph of order >= 4 is 2-connected.
+            raise VerificationError(
+                "two-separations", f"g - {u} is disconnected, so g is not 2-connected"
+            )
+        for j in range(i + 1, n):
+            if not cut_vertex[j]:
+                continue
+            v = verts[j]
+            for comp in g.components((u, v)):
+                for extra in ((), (u,), (v,), (u, v)):
+                    shore = comp | frozenset(extra)
+                    size = len(shore)
+                    if size % 2 == 0 or size < 3 or n - size < 3:
+                        continue
+                    if shore in seen:
+                        continue
+                    seen.add(shore)
+                    out.append(g.cut(shore))
     return out
 
 
@@ -127,12 +185,46 @@ def _brace_obstruction(
 ) -> Optional[tuple[int, int, int, int]]:
     # A bipartite matching covered graph of order >= 6 is a brace iff
     # deleting any two vertices per side leaves a matchable graph; the
-    # first failing 4-tuple is returned.
-    a_side, b_side = parts
-    for a1, a2 in combinations(sorted(a_side), 2):
-        for b1, b2 in combinations(sorted(b_side), 2):
-            if not matchable_minus(g, (a1, a2, b1, b2)):
-                return a1, a2, b1, b2
+    # first failing 4-tuple (a1 < a2, b1 < b2, in that order) is
+    # returned.  For each (a1, a2, b1), the cached perfect matching minus
+    # the three deleted vertices, re-augmented from the mate of b1,
+    # leaves one exposed B-vertex w in h = g - a1 - a2 - b1.  h - b2 is
+    # then matchable exactly when an even alternating path runs from w
+    # to b2 (Dulmage-Mendelsohn), so one breadth-first search, B to A by
+    # any edge and A to B by its mate, marks every b2.
+    index, adj, cached = _engine(g)
+    verts = g.vertices
+    a_side = sorted(index[a] for a in parts[0])
+    b_side = sorted(index[b] for b in parts[1])
+    for a1, a2 in combinations(a_side, 2):
+        for k, b1 in enumerate(b_side[:-1]):
+            dead = (a1, a2, b1)
+            match = list(cached)
+            for v in dead:
+                match[v] = match[cached[v]] = -1
+            z = cached[b1]
+            if z != a1 and z != a2 and not _augment(adj, match, z, dead):
+                # g - a2 - b1 has a perfect matching, since g is bipartite
+                # and matching covered, so some matching of h covers z.
+                raise VerificationError(
+                    "brace-test",
+                    f"no augmenting path from {verts[z]} in g - "
+                    f"{verts[a1]} - {verts[a2]} - {verts[b1]}",
+                )
+            w = next(b for b in (cached[a1], cached[a2]) if b != b1 and match[b] == -1)
+            reached = [False] * len(adj)
+            reached[w] = True
+            queue = [w]
+            for b in queue:  # breadth first: the loop reaches what is appended
+                for a in adj[b]:
+                    if a != a1 and a != a2:
+                        m = match[a]
+                        if not reached[m]:
+                            reached[m] = True
+                            queue.append(m)
+            for b2 in b_side[k + 1:]:
+                if not reached[b2]:
+                    return verts[a1], verts[a2], verts[b1], verts[b2]
     return None
 
 

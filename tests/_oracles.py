@@ -2,11 +2,15 @@
 
 Everything here is deliberately naive: straight recursion and full
 enumeration, no shared state with the library beyond the MultiGraph
-accessors. Keep it that way.  The one exception is the pair
-``brute_removable_edges`` / ``brute_removable_classes``: they keep the
-library's earlier removability, which asked the matching engine whether
-each ``g - e`` and each ``g - R`` is matching covered; ``pm_removable``
-decides the same question from the perfect matchings alone.
+accessors. Keep it that way.  The exceptions are two pairs that keep
+the library's earlier bodies.  ``brute_removable_edges`` /
+``brute_removable_classes`` keep the earlier removability, which asked
+the matching engine whether each ``g - e`` and each ``g - R`` is
+matching covered; ``pm_removable`` decides the same question from the
+perfect matchings alone.  ``brute_two_separation_candidates`` /
+``brute_brace_obstruction`` keep the earlier tight-cut scans: one
+``components`` pass per vertex pair, and one ``matchable_minus`` query
+per 4-tuple.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from itertools import combinations, permutations
 
 from matchcover.dependence import equivalence_partition
 from matchcover.errors import CapabilityError, DomainError
-from matchcover.matching import is_matching_covered
-from matchcover.multigraph import CanonicalForm, MultiGraph
+from matchcover.matching import is_matching_covered, matchable_minus
+from matchcover.multigraph import CanonicalForm, Cut, MultiGraph
 
 
 def brute_max_matching(g: MultiGraph) -> int:
@@ -219,6 +223,42 @@ def brute_even_2cuts(g: MultiGraph) -> list:
             shore = first if min(first) < min(second) else second
             out.append(g.cut(shore))
     return out
+
+
+def brute_two_separation_candidates(g: MultiGraph) -> list[Cut]:
+    """The odd nontrivial shores K, K+u, K+v, K+uv of every component K
+    of g - u - v, over every vertex pair with g - u - v disconnected."""
+    out: list[Cut] = []
+    seen: set[frozenset[int]] = set()
+    n = g.n
+    for u, v in combinations(g.vertices, 2):
+        comps = g.components((u, v))
+        if len(comps) < 2:
+            continue
+        for comp in comps:
+            for extra in ((), (u,), (v,), (u, v)):
+                shore = comp | frozenset(extra)
+                size = len(shore)
+                if size % 2 == 0 or size < 3 or n - size < 3:
+                    continue
+                if shore in seen:
+                    continue
+                seen.add(shore)
+                out.append(g.cut(shore))
+    return out
+
+
+def brute_brace_obstruction(
+    g: MultiGraph, parts: tuple[frozenset[int], frozenset[int]]
+) -> tuple[int, int, int, int] | None:
+    """The first (a1, a2, b1, b2), a1 < a2 on one side and b1 < b2 on
+    the other, whose deletion leaves g without a perfect matching."""
+    a_side, b_side = parts
+    for a1, a2 in combinations(sorted(a_side), 2):
+        for b1, b2 in combinations(sorted(b_side), 2):
+            if not matchable_minus(g, (a1, a2, b1, b2)):
+                return a1, a2, b1, b2
+    return None
 
 
 def _refine(adj: list[int], mult: list[list[int]], colors: list[int]) -> list[int]:

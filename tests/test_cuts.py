@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from matchcover.cuts import (
     EXHAUSTIVE_LIMIT,
+    _brace_obstruction,
     _brick_certificate,
+    _two_separation_candidates,
     classify,
     contractions,
     exhaustive_nontrivial_tight_cut,
@@ -27,8 +29,20 @@ from matchcover.matching import is_matching_covered
 from matchcover.multigraph import MultiGraph, canonical_form
 from matchcover.structure import is_bicritical, vertex_connectivity
 
-from _oracles import all_pms, direct_is_tight, odd_cuts_with_small_shore
-from conftest import _CORPUS, corpus_params, random_mc_graph, random_nonbipartite_mc_graph
+from _oracles import (
+    all_pms,
+    brute_brace_obstruction,
+    brute_two_separation_candidates,
+    direct_is_tight,
+    odd_cuts_with_small_shore,
+)
+from conftest import (
+    _CORPUS,
+    corpus_params,
+    random_mc_graph,
+    random_nonbipartite_mc_graph,
+    sparse_mc_graphs,
+)
 
 
 def test_marked_cut_verdicts():
@@ -106,6 +120,21 @@ def test_exhaustive_limit():
     )
     with pytest.raises(CapabilityError, match=refusal):
         exhaustive_nontrivial_tight_cut(named_graph("C26"))
+
+
+@pytest.mark.parametrize("n", [EXHAUSTIVE_LIMIT, EXHAUSTIVE_LIMIT + 2])
+def test_fast_tight_cut_agrees_with_exhaustive_around_the_limit(n):
+    # Sparse graphs at the limit and past it (where the scan needs
+    # limit=), bipartite ones found by the 2-separation pass and spliced
+    # nonbipartite ones; the scan ends at its first tight shore.
+    for g in sparse_mc_graphs(n):
+        if n > EXHAUSTIVE_LIMIT:
+            with pytest.raises(CapabilityError):
+                exhaustive_nontrivial_tight_cut(g)
+        slow = exhaustive_nontrivial_tight_cut(g, limit=n)
+        fast = find_nontrivial_tight_cut(g)
+        assert fast is not None and slow is not None
+        assert is_tight_cut(g, fast) and not fast.is_trivial
 
 
 def test_separating_cut_refusal_names_phase_limit_and_setting():
@@ -344,3 +373,44 @@ def test_first_tight_cut_heads_the_candidate_stream():
     for g in _certificate_inputs():
         cands = tight_cut_candidates(g)
         assert find_nontrivial_tight_cut(g) == (cands[0] if cands else None)
+
+
+def _scan_inputs() -> list[MultiGraph]:
+    # The matching covered corpus, the sparse graphs of order 18 and 20,
+    # and 180 seeded graphs, alternately bipartite (dense enough to hold
+    # braces) and not, every third with one edge doubled.
+    graphs = [g for _, g in _CORPUS if is_matching_covered(g)]
+    graphs += sparse_mc_graphs(18) + sparse_mc_graphs(20)
+    rng = random.Random(9)
+    for i in range(180):
+        n = rng.choice((6, 8, 10, 12))
+        if i % 2:
+            g = random_mc_graph(rng, n, rng.randrange(n, 4 * n))
+        else:
+            g = random_nonbipartite_mc_graph(rng, n, rng.randrange(2 * n))
+        if i % 3 == 0:
+            g = g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0]
+        graphs.append(g)
+    return graphs
+
+
+def test_two_separation_pass_matches_the_pair_scan():
+    separated = 0
+    for g in _scan_inputs():
+        shores = [cut.shore for cut in _two_separation_candidates(g)]
+        assert shores == [cut.shore for cut in brute_two_separation_candidates(g)], g
+        separated += bool(shores)
+    assert separated >= 20
+
+
+def test_brace_test_matches_the_quadruple_scan():
+    obstructed = braces = 0
+    for g in _scan_inputs():
+        parts = g.bipartition()
+        if parts is None:
+            continue
+        found = _brace_obstruction(g, parts)
+        assert found == brute_brace_obstruction(g, parts), g
+        obstructed += found is not None
+        braces += found is None and g.n >= 6
+    assert obstructed >= 20 and braces >= 20

@@ -12,7 +12,9 @@ import matchcover
 import matchcover.cuts
 from matchcover.cli import build_analysis
 from matchcover.cuts import (
+    _brace_obstruction,
     _first_cut_decomposition,
+    _two_separation_candidates,
     barrier_cuts,
     classify,
     find_nontrivial_tight_cut,
@@ -206,6 +208,60 @@ def test_brick_test_reads_bicriticality_off_the_canonical_partition(name):
         sys.setprofile(None)
     assert cut is None and classify(g) == "brick"
     assert calls == []
+
+
+def _calls(code, fn, *args):
+    # The arguments of every call into `code` while fn(*args) runs.
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(dict(frame.f_locals))
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["K4,4", "C8"])
+def test_brace_test_asks_no_matchability_query(name):
+    # One re-augmentation and one alternating search per (a1, a2, b1)
+    # replace the query per 4-tuple (36 of them on K4,4).
+    g = named_graph(name)
+    parts = g.bipartition()
+    assert (_brace_obstruction(g, parts) is None) == (name == "K4,4")
+    assert _calls(matchable_minus.__code__, _brace_obstruction, g, parts) == []
+
+
+@pytest.mark.parametrize("name", ["petersen", "prism3"])
+def test_two_separation_pass_skips_components_on_3_connected_graphs(name):
+    # With no articulation point in any g - u, no pair needs a
+    # components pass (the pair scan makes n(n-1)/2 of them).
+    g = named_graph(name)
+    code = MultiGraph.components.__code__
+    assert _calls(code, _two_separation_candidates, g) == []
+
+
+def test_two_separation_pass_refuses_a_graph_with_a_cut_vertex():
+    # Two triangles joined by the edge 3-4: 3 is a cut vertex, which a
+    # matching covered graph of order >= 4 cannot have.
+    g = MultiGraph(6, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+    with pytest.raises(VerificationError) as info:
+        _two_separation_candidates(g)
+    assert info.value.check == "two-separations"
+
+
+def test_brace_test_refuses_a_failed_augmentation(monkeypatch):
+    # In a bipartite matching covered graph every g - a - b is matchable,
+    # so the re-augmentation after deleting a1, a2, b1 cannot fail.
+    monkeypatch.setattr(matchcover.cuts, "_augment", lambda *args: False)
+    g = named_graph("K4,4")
+    with pytest.raises(VerificationError) as info:
+        _brace_obstruction(g, g.bipartition())
+    assert info.value.check == "brace-test"
 
 
 def test_first_barrier_cut_skips_the_two_separation_phase(monkeypatch):

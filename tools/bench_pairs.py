@@ -4,13 +4,15 @@
         [--workload W ...] [--seed S ...] [--pairs 10] [--trace] [--append]
 
 DIR is a checkout holding ``perfbench/run.py`` and ``src/``; each run
-benchmarks the code of its own checkout, and the git tree id of each
-side's committed ``src/`` is recorded.  For every workload and seed,
-``--pairs`` pairs run one after the other, the parent first in even
-pairs and the change first in odd ones, so that a drift in the host's
-speed falls on both sides alike.  With ``--trace`` one traced run per
-side follows, and its per-layer metrics are kept with their
-change-minus-parent deltas.
+benchmarks the code of its own checkout.  Per side, ``src_dirty``
+records whether ``src/`` differs from the checkout's commit when the
+runs start, and ``src_tree`` the git tree id of the committed ``src/``,
+or null when it is dirty, since that id would then name code other than
+what ran.  For every workload and seed, ``--pairs`` pairs run one
+after the other, the parent first in even pairs and the change first in
+odd ones, so that a drift in the host's speed falls on both sides
+alike.  With ``--trace`` one traced run per side follows, and its
+per-layer metrics are kept with their change-minus-parent deltas.
 
 The output holds every run (its result line), and per workload@seed and
 end-to-end metric each side's median and quartiles, the pairs the
@@ -42,11 +44,14 @@ def _run(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     return result
 
 
-def _src_tree(checkout: Path) -> str | None:
-    """The git tree id of the checkout's committed ``src/``, if any."""
-    done = subprocess.run(["git", "rev-parse", "HEAD:src"], cwd=checkout,
-                          capture_output=True, text=True)
-    return done.stdout.strip() or None
+def _git(checkout: Path, *args: str) -> str:
+    done = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+    return done.stdout.strip()
+
+
+def _src_dirty(checkout: Path) -> bool:
+    """Does the checkout's ``src/`` hold uncommitted or untracked files?"""
+    return bool(_git(checkout, "status", "--porcelain", "--", "src"))
 
 
 def _spread(values: list[float]) -> dict:
@@ -86,6 +91,10 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
+    dirty = {side: _src_dirty(path) for side, path in checkouts.items()}
+    tree = {side: None if dirty[side] else _git(path, "rev-parse", "HEAD:src") or None
+            for side, path in checkouts.items()}
+
     bench = json.loads(args.out.read_text()) if args.append and args.out.exists() else {}
     bench.setdefault("runs", [])
     bench.setdefault("summary", {})
@@ -114,7 +123,8 @@ def main(argv: list[str] | None = None) -> int:
                 traced["delta"] = {k: traced["change"][k] - traced["parent"].get(k, 0)
                                    for k in traced["change"]}
                 bench["traced"][key] = traced
-    bench["src_tree"] = {side: _src_tree(path) for side, path in checkouts.items()}
+    bench["src_dirty"] = dirty
+    bench["src_tree"] = tree
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0 if all(r["correct"] for r in bench["runs"]) else 1
 
