@@ -10,14 +10,14 @@ certified by the brace characterization (a failing 4-tuple deletion
 yields a Hall-type set S with |N(S)| = |S| + 1 whose closed neighborhood
 is a verified tight shore); the 4-tuples are settled by one
 re-augmentation and one alternating search per deleted triple, not one
-matchability query each.  Both passes list exactly what the plain pair
-and 4-tuple scans list, in the same order.  Nonbipartite graphs are
-certified by the brick test:
-3-connected and bicritical, where bicriticality is read off the memoized
-canonical partition (all parts singletons).  A raw exhaustive odd-shore
-scan stays available as the cross-check authority; the certified search
-never falls back to it.  The first tight cut and the default
-decomposition are memoized per graph.
+matchability query each, and S is read off one more search on that same
+matching.  Both passes list exactly what the plain pair and 4-tuple
+scans list, in the same order.  Nonbipartite graphs are certified by
+the brick test: 3-connected and bicritical, where bicriticality is
+read off the memoized canonical partition (all parts singletons).  A
+raw exhaustive odd-shore scan stays available as the cross-check
+authority; the certified search never falls back to it.  The first
+tight cut and the default decomposition are memoized per graph.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .matching import (
     _require_mc,
     has_pm_containing,
     is_matching_covered,
-    maximum_matching,
 )
 from .multigraph import CanonicalForm, Cut, MultiGraph, _memoized, canonical_form
 from .structure import canonical_partition, even_2cuts, vertex_connectivity
@@ -180,18 +179,42 @@ def _two_separation_candidates(g: MultiGraph) -> list[Cut]:
     return out
 
 
+def _even_reach(
+    adj: tuple[tuple[int, ...], ...], match: list[int], root: int, x: int, y: int
+) -> list[bool]:
+    # Breadth-first alternating search from `root`: out by any edge that
+    # avoids x and y, back by the mate.  Marks the vertices of root's
+    # side that an even alternating path reaches.
+    reached = [False] * len(adj)
+    reached[root] = True
+    queue = [root]
+    for v in queue:  # breadth first: the loop reaches what is appended
+        for u in adj[v]:
+            if u != x and u != y:
+                m = match[u]
+                if not reached[m]:
+                    reached[m] = True
+                    queue.append(m)
+    return reached
+
+
 def _brace_obstruction(
     g: MultiGraph, parts: tuple[frozenset[int], frozenset[int]]
-) -> Optional[tuple[int, int, int, int]]:
+) -> Optional[tuple[tuple[int, int, int, int], frozenset[int]]]:
     # A bipartite matching covered graph of order >= 6 is a brace iff
     # deleting any two vertices per side leaves a matchable graph; the
     # first failing 4-tuple (a1 < a2, b1 < b2, in that order) is
-    # returned.  For each (a1, a2, b1), the cached perfect matching minus
-    # the three deleted vertices, re-augmented from the mate of b1,
-    # leaves one exposed B-vertex w in h = g - a1 - a2 - b1.  h - b2 is
-    # then matchable exactly when an even alternating path runs from w
-    # to b2 (Dulmage-Mendelsohn), so one breadth-first search, B to A by
-    # any edge and A to B by its mate, marks every b2.
+    # returned with its Hall set S.  For each (a1, a2, b1), the cached
+    # perfect matching minus the three deleted vertices, re-augmented
+    # from the mate of b1, leaves one exposed B-vertex w in
+    # g - a1 - a2 - b1.  Deleting b2 as well is then matchable exactly
+    # when an even alternating path runs from w to b2 (Dulmage-
+    # Mendelsohn), so one search from w marks every b2.  At a failing b2
+    # the same matching minus b2's edge is maximum in
+    # h = g - a1 - a2 - b1 - b2 and misses only the mate of b2 on the A
+    # side; the A-vertices an even alternating path reaches from it are
+    # the A side of the Gallai-Edmonds set D(h), the same for every
+    # maximum matching, and |N_h(S)| = |S| - 1.
     index, adj, cached = _engine(g)
     verts = g.vertices
     a_side = sorted(index[a] for a in parts[0])
@@ -212,48 +235,15 @@ def _brace_obstruction(
                     f"{verts[a1]} - {verts[a2]} - {verts[b1]}",
                 )
             w = next(b for b in (cached[a1], cached[a2]) if b != b1 and match[b] == -1)
-            reached = [False] * len(adj)
-            reached[w] = True
-            queue = [w]
-            for b in queue:  # breadth first: the loop reaches what is appended
-                for a in adj[b]:
-                    if a != a1 and a != a2:
-                        m = match[a]
-                        if not reached[m]:
-                            reached[m] = True
-                            queue.append(m)
+            reached = _even_reach(adj, match, w, a1, a2)
             for b2 in b_side[k + 1:]:
                 if not reached[b2]:
-                    return verts[a1], verts[a2], verts[b1], verts[b2]
+                    # No alternating path from the mate of b2 reaches w:
+                    # reversed, it would run from w to b2.
+                    hall = _even_reach(adj, match, match[b2], b1, b2)
+                    s = frozenset(verts[a] for a in a_side if hall[a])
+                    return (verts[a1], verts[a2], verts[b1], verts[b2]), s
     return None
-
-
-def _hall_violator(h: MultiGraph, a_side: frozenset[int]) -> frozenset[int]:
-    # h is balanced bipartite and unmatchable: grow alternating
-    # reachability from an unmatched A-vertex; the reached A-set S
-    # satisfies |N_h(S)| = |S| - 1.
-    mate: dict[int, int] = {}
-    for e in maximum_matching(h):
-        u, v = h.endpoints(e)
-        mate[u] = v
-        mate[v] = u
-    free = [a for a in sorted(a_side) if a not in mate]
-    s = {free[0]}
-    reached_b: set[int] = set()
-    frontier = [free[0]]
-    while frontier:
-        nxt: list[int] = []
-        for a in frontier:
-            for b in h.neighbors(a):
-                if b in reached_b:
-                    continue
-                reached_b.add(b)
-                m = mate.get(b)
-                if m is not None and m not in s:
-                    s.add(m)
-                    nxt.append(m)
-        frontier = nxt
-    return frozenset(s)
 
 
 def _bipartite_tight_cut(
@@ -262,10 +252,7 @@ def _bipartite_tight_cut(
     obstruction = _brace_obstruction(g, parts)
     if obstruction is None:
         return None
-    a1, a2, b1, b2 = obstruction
-    a_side = parts[0]
-    h = g.delete_vertices(obstruction)
-    s = _hall_violator(h, a_side - {a1, a2})
+    _, s = obstruction
     nbhd: set[int] = set()
     for a in s:
         nbhd.update(g.neighbors(a))
@@ -364,15 +351,16 @@ def tight_cut_candidates(g: MultiGraph) -> list[Cut]:
 
 
 def make_chooser(strategy: str = "first") -> Callable[[MultiGraph], Optional[Cut]]:
-    """Cut-choice strategies: "first", "reverse", or "random:<seed>"."""
+    """Cut-choice strategies: "first", "reverse", "random" (seed 0) or
+    "random:<seed>"."""
     if strategy == "first":
         return find_nontrivial_tight_cut
+    kind, colon, seed_text = strategy.partition(":")
     if strategy == "reverse":
         pick = itemgetter(-1)
-    elif strategy.startswith("random"):
-        _, _, seed_text = strategy.partition(":")
+    elif kind == "random":
         try:
-            seed = int(seed_text) if seed_text else 0
+            seed = int(seed_text) if colon else 0
         except ValueError:
             raise DomainError(f"strategy seed must be an integer: {strategy!r}") from None
         pick = random.Random(seed).choice

@@ -49,6 +49,15 @@ def _memoized(fn: Callable[["MultiGraph"], _T]) -> Callable[["MultiGraph"], _T]:
     return wrapper
 
 
+def _find(parent: dict[_T, _T] | list[int], v: _T) -> _T:
+    """The root of ``v`` in the union-find ``parent`` (a list over
+    indices or a dict over items), halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 def _partition(
     items: Sequence[_T], related: Callable[[_T, _T], bool]
 ) -> tuple[frozenset[_T], ...]:
@@ -56,20 +65,13 @@ def _partition(
     sorted by their least item.  Union-find over the item pairs in order;
     a pair already joined is not tested."""
     parent = {x: x for x in items}
-
-    def find(x: _T) -> _T:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, x in enumerate(items):
         for y in items[i + 1:]:
-            if find(x) != find(y) and related(x, y):
-                parent[find(y)] = find(x)
+            if _find(parent, x) != _find(parent, y) and related(x, y):
+                parent[_find(parent, y)] = _find(parent, x)
     classes: dict[_T, set[_T]] = {}
     for x in items:
-        classes.setdefault(find(x), set()).add(x)
+        classes.setdefault(_find(parent, x), set()).add(x)
     return tuple(sorted((frozenset(c) for c in classes.values()), key=min))
 
 
@@ -487,21 +489,20 @@ def _refine(adj: list[int], mult: list[list[int]], colors: list[int]) -> list[in
 
 def _encode(mult: list[list[int]], perm: list[int]) -> bytes:
     # Upper-triangle multiplicities of the relabeled graph, row-major.
+    # A multiplicity k = 255q + r (r < 255) is q bytes 255 and then r,
+    # so every entry ends at its first byte below 255 and the encoding
+    # is injective; below 255 it is the one byte k.
     n = len(mult)
     out = bytearray()
     for i in range(n):
         row = mult[perm[i]]
         for j in range(i + 1, n):
-            out.append(min(row[perm[j]], 255))
+            k = row[perm[j]]
+            if k >= 255:
+                out += b"\xff" * (k // 255)
+                k %= 255
+            out.append(k)
     return bytes(out)
-
-
-def _find(orbit: list[int], v: int) -> int:
-    """The root of ``v`` in the union-find parent array ``orbit``."""
-    while orbit[v] != v:
-        orbit[v] = orbit[orbit[v]]
-        v = orbit[v]
-    return v
 
 
 def _fold_fixing(

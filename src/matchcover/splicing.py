@@ -190,8 +190,19 @@ class CrossSupport:
 def _side_graph(g: MultiGraph, cut: Cut, side: int) -> MultiGraph:
     if side not in (1, 2):
         raise DomainError("side must be 1 (shore kept) or 2 (complement kept)")
-    g1, g2 = contractions(g, cut)
-    return g1 if side == 1 else g2
+    return contractions(g, cut)[side - 1]
+
+
+def _support(h: MultiGraph, cut: Cut, side: int, f_edges: frozenset[int]) -> frozenset[int]:
+    # The cut edges e with F + {e} in a perfect matching of the side's
+    # contraction h; a tight cut is separating, so check_merge needs no more.
+    if f_edges & cut.edges:
+        raise DomainError("F must be disjoint from the cut")
+    for e in f_edges:
+        if not h.has_edge_id(e):
+            raise DomainError(f"edge {e} is not on side {side} of the cut")
+    forced = tuple(sorted(f_edges))
+    return frozenset(e for e in cut.edges if has_pm_containing(h, forced + (e,)))
 
 
 def cross_support(
@@ -201,18 +212,9 @@ def cross_support(
     contraction with one forced-matchability call per cut edge."""
     cut = _as_cut(g, c)
     f_edges = frozenset(F)
-    if f_edges & cut.edges:
-        raise DomainError("F must be disjoint from the cut")
     if not is_separating_cut(g, cut):
         raise DomainError("cross support is defined over separating cuts")
-    side_graph = _side_graph(g, cut, side)
-    for e in f_edges:
-        if not side_graph.has_edge_id(e):
-            raise DomainError(f"edge {e} is not on side {side} of the cut")
-    forced = tuple(sorted(f_edges))
-    support = frozenset(
-        e for e in cut.edges if has_pm_containing(side_graph, forced + (e,))
-    )
+    support = _support(_side_graph(g, cut, side), cut, side, f_edges)
     return CrossSupport(side, f_edges, support)
 
 
@@ -235,13 +237,11 @@ def check_merge(
     cut = _as_cut(g, c)
     if not is_tight_cut(g, cut):
         raise DomainError("merge analysis needs a tight cut")
-    f1 = frozenset(F1)
-    f2 = frozenset(F2)
-    s1 = cross_support(g, cut, 1, f1).support
-    s2 = cross_support(g, cut, 2, f2).support
+    f1, f2 = frozenset(F1), frozenset(F2)
+    g1, g2 = contractions(g, cut)
+    s1, s2 = _support(g1, cut, 1, f1), _support(g2, cut, 2, f2)
     merged = s1 == s2 and len(s1) >= 2
     if merged:
-        g1, g2 = contractions(g, cut)
         h1 = g1.delete_edges(f1)
         h2 = g2.delete_edges(f2)
         merged = all(not is_admissible(h1, e) for e in sorted(s1)) and all(

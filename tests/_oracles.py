@@ -2,15 +2,18 @@
 
 Everything here is deliberately naive: straight recursion and full
 enumeration, no shared state with the library beyond the MultiGraph
-accessors. Keep it that way.  The exceptions are two pairs that keep
-the library's earlier bodies.  ``brute_removable_edges`` /
+accessors. Keep it that way.  The exceptions keep the library's
+earlier bodies.  ``brute_removable_edges`` /
 ``brute_removable_classes`` keep the earlier removability, which asked
 the matching engine whether each ``g - e`` and each ``g - R`` is
 matching covered; ``pm_removable`` decides the same question from the
 perfect matchings alone.  ``brute_two_separation_candidates`` /
 ``brute_brace_obstruction`` keep the earlier tight-cut scans: one
 ``components`` pass per vertex pair, and one ``matchable_minus`` query
-per 4-tuple.
+per 4-tuple.  ``brute_hall_violator`` keeps the earlier Hall-set search
+of the brace certificate, on a fresh ``maximum_matching`` of ``g`` minus
+the failing 4-tuple; ``brute_hall_set`` decides the same set from its
+Gallai-Edmonds definition.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from itertools import combinations, permutations
 
 from matchcover.dependence import equivalence_partition
 from matchcover.errors import CapabilityError, DomainError
-from matchcover.matching import is_matching_covered, matchable_minus
+from matchcover.matching import is_matching_covered, matchable_minus, maximum_matching
 from matchcover.multigraph import CanonicalForm, Cut, MultiGraph
 
 
@@ -261,6 +264,45 @@ def brute_brace_obstruction(
     return None
 
 
+
+def brute_hall_violator(h: MultiGraph, a_side: frozenset[int]) -> frozenset[int]:
+    """The A-vertices that an even alternating path reaches from the
+    first unmatched A-vertex of a maximum matching of the balanced,
+    unmatchable bipartite graph h; |N_h(S)| = |S| - 1 when h has
+    deficiency 1."""
+    mate: dict[int, int] = {}
+    for e in maximum_matching(h):
+        u, v = h.endpoints(e)
+        mate[u] = v
+        mate[v] = u
+    free = [a for a in sorted(a_side) if a not in mate]
+    s = {free[0]}
+    reached_b: set[int] = set()
+    frontier = [free[0]]
+    while frontier:
+        nxt: list[int] = []
+        for a in frontier:
+            for b in h.neighbors(a):
+                if b in reached_b:
+                    continue
+                reached_b.add(b)
+                m = mate.get(b)
+                if m is not None and m not in s:
+                    s.add(m)
+                    nxt.append(m)
+        frontier = nxt
+    return frozenset(s)
+
+
+def brute_hall_set(h: MultiGraph, a_side: frozenset[int]) -> frozenset[int]:
+    """The A side of the Gallai-Edmonds set D(h): the vertices a with
+    nu(h - a) = nu(h), missed by some maximum matching."""
+    nu = brute_max_matching(h)
+    return frozenset(
+        a for a in a_side if brute_max_matching(h.delete_vertices((a,))) == nu
+    )
+
+
 def _refine(adj: list[int], mult: list[list[int]], colors: list[int]) -> list[int]:
     # Iterated color refinement: a vertex's new color is (old color,
     # multiset of (neighbor color, multiplicity)), renumbered by sorted
@@ -287,7 +329,8 @@ def _encode(mult: list[list[int]], perm: list[int]) -> bytes:
     for i in range(n):
         row = mult[perm[i]]
         for j in range(i + 1, n):
-            out.append(min(row[perm[j]], 255))
+            k = row[perm[j]]
+            out += b"\xff" * (k // 255) + bytes([k % 255])
     return bytes(out)
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from matchcover.cuts import (
     EXHAUSTIVE_LIMIT,
+    _bipartite_tight_cut,
     _brace_obstruction,
     _brick_certificate,
     _two_separation_candidates,
@@ -32,6 +33,8 @@ from matchcover.structure import is_bicritical, vertex_connectivity
 from _oracles import (
     all_pms,
     brute_brace_obstruction,
+    brute_hall_set,
+    brute_hall_violator,
     brute_two_separation_candidates,
     direct_is_tight,
     odd_cuts_with_small_shore,
@@ -247,6 +250,12 @@ def test_make_chooser_rejects_unknown():
         make_chooser("sideways")
     with pytest.raises(DomainError):
         make_chooser("random:x")
+    for strategy in ("randomly", "random:", "random_7", "Random:1"):
+        with pytest.raises(DomainError):
+            make_chooser(strategy)
+    g = named_graph("C6")
+    for strategy in ("random", "random:7", "random:-3"):
+        assert make_chooser(strategy)(g) in tight_cut_candidates(g)
 
 
 def test_bipartite_iff_b_zero():
@@ -404,13 +413,30 @@ def test_two_separation_pass_matches_the_pair_scan():
 
 
 def test_brace_test_matches_the_quadruple_scan():
-    obstructed = braces = 0
+    # The 4-tuple and the Hall set S against the plain scan and the Hall
+    # search on a fresh maximum matching of g minus the 4-tuple, S also
+    # against its Gallai-Edmonds definition where brute force is cheap,
+    # and the certificate's cut against the one the oracle S gives.
+    obstructed = braces = defined = 0
     for g in _scan_inputs():
         parts = g.bipartition()
         if parts is None:
             continue
         found = _brace_obstruction(g, parts)
-        assert found == brute_brace_obstruction(g, parts), g
-        obstructed += found is not None
-        braces += found is None and g.n >= 6
-    assert obstructed >= 20 and braces >= 20
+        quad = brute_brace_obstruction(g, parts)
+        if quad is None:
+            assert found is None, g
+            braces += g.n >= 6
+            continue
+        h, a_side = g.delete_vertices(quad), parts[0] - set(quad[:2])
+        s = brute_hall_violator(h, a_side)
+        assert found == (quad, s), g
+        shore = set(s)
+        for a in s:
+            shore.update(g.neighbors(a))
+        assert _bipartite_tight_cut(g, parts) == g.cut(shore), g
+        obstructed += 1
+        if g.n <= 12:
+            assert s == brute_hall_set(h, a_side), g
+            defined += 1
+    assert obstructed >= 20 and braces >= 20 and defined >= 20

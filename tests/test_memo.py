@@ -1,6 +1,7 @@
 """The per-graph memo: shared results, fresh mutable answers, lazy leaf
 forms, and no repeated invariant work inside one analysis."""
 
+import random
 import re
 import sys
 from collections import Counter
@@ -12,6 +13,7 @@ import matchcover
 import matchcover.cuts
 from matchcover.cli import build_analysis
 from matchcover.cuts import (
+    _bipartite_tight_cut,
     _brace_obstruction,
     _first_cut_decomposition,
     _two_separation_candidates,
@@ -30,9 +32,11 @@ from matchcover.dependence import (
 )
 from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.generators import named_graph
-from matchcover.matching import _engine, matchable_minus
+from matchcover.matching import _engine, matchable_minus, maximum_matching
 from matchcover.multigraph import MultiGraph
 from matchcover.structure import _even_2cuts, canonical_partition, even_2cuts
+
+from conftest import _CORPUS, random_mc_graph
 
 
 def test_equivalence_partition_is_shared():
@@ -262,6 +266,50 @@ def test_brace_test_refuses_a_failed_augmentation(monkeypatch):
     with pytest.raises(VerificationError) as info:
         _brace_obstruction(g, g.bipartition())
     assert info.value.check == "brace-test"
+
+
+def _certificate_graphs() -> list[MultiGraph]:
+    # splice5, the one corpus graph whose first cut comes from the brace
+    # certificate, and seeded bipartite graphs that are not braces.
+    graphs = [g for name, g in _CORPUS if name == "splice5"]
+    rng = random.Random(11)
+    while len(graphs) < 7:
+        n = rng.choice((8, 10, 12))
+        g = random_mc_graph(rng, n, rng.randrange(n, 3 * n))
+        if _brace_obstruction(g, g.bipartition()) is not None:
+            graphs.append(g)
+    return graphs
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_brace_certificate_stays_on_one_matching(index):
+    # The Hall set comes from the brace test's own search on g's matching:
+    # no g minus the 4-tuple, no fresh maximum matching, no engine for
+    # any graph but g.
+    g = _certificate_graphs()[index]
+    if index == 0:
+        assert not barrier_cuts(g) and not _two_separation_candidates(g)
+    engines, calls = [], []
+    watched = {MultiGraph.delete_vertices.__code__, maximum_matching.__code__}
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is _engine.__wrapped__.__code__:
+            engines.append(frame.f_locals["g"])
+        elif frame.f_code in watched:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        cut = _bipartite_tight_cut(g, g.bipartition())
+    finally:
+        sys.setprofile(None)
+    assert cut is not None
+    if index == 0:
+        assert cut == find_nontrivial_tight_cut(g)
+    assert calls == []
+    assert all(h is g for h in engines)
 
 
 def test_first_barrier_cut_skips_the_two_separation_phase(monkeypatch):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +168,25 @@ def test_canonical_form_multiplicity_sensitive():
     g = MultiGraph(2, [(1, 2)])
     h = MultiGraph(2, [(1, 2), (1, 2)])
     assert canonical_form(g) != canonical_form(h)
+
+
+def _p4(first: int, last: int) -> MultiGraph:
+    # The path 1-2-3-4 with `first` copies of its first edge and `last`
+    # of its last.
+    return MultiGraph(4, [(1, 2)] * first + [(2, 3)] + [(3, 4)] * last)
+
+
+@pytest.mark.parametrize("k", [254, 255, 256, 257, 300])
+def test_canonical_form_tells_multiplicities_past_one_byte_apart(k):
+    graphs = [MultiGraph(2, [(1, 2)] * j) for j in (k, k + 1, 256)]
+    graphs += [_p4(k, 1), _p4(1, k), _p4(256, 1), _p4(k, 300), _p4(300, k), _p4(k, k)]
+    forms = [canonical_form(g) for g in graphs]
+    for g, form in zip(graphs, forms):
+        assert form == brute_canonical_form(g)
+    for i, j in combinations(range(len(graphs)), 2):
+        assert (forms[i] == forms[j]) == brute_isomorphic(graphs[i], graphs[j]), (i, j)
+    # Below 255 a multiplicity is still its one byte, so no digest moves.
+    assert canonical_form(MultiGraph(2, [(1, 2)] * 254)).encoding == bytes([254])
 
 
 def test_canonical_form_size_limit():

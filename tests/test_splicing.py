@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchcover.cuts
+import matchcover.splicing
 from matchcover.cuts import contractions, is_separating_cut, is_tight_cut
 from matchcover.dependence import (
     depends_on,
@@ -208,6 +210,31 @@ def test_check_merge_positive_case():
     cut = g.cut(t.cuts[0].shore)
     f0, f1 = t.f_edges
     assert check_merge(g, cut, {f0}, {f1}, cross_check=True)
+
+
+def test_check_merge_builds_the_contractions_once(monkeypatch):
+    # One pair of contractions serves both supports and the merged
+    # branch; a tight cut needs no separating re-check.
+    from matchcover.generators import build_high_kappa_epsilon
+
+    built = []
+
+    def spy(g, c):
+        built.append(g)
+        return contractions(g, c)
+
+    monkeypatch.setattr(matchcover.cuts, "contractions", spy)
+    monkeypatch.setattr(matchcover.splicing, "contractions", spy)
+    t = build_high_kappa_epsilon(2, 2)
+    g = t.final
+    cut = g.cut(t.cuts[0].shore)
+    f0, f1 = t.f_edges
+    assert check_merge(g, cut, {f0}, {f1})
+    assert built == [g]
+    g, cut = _bip_splice()
+    some_cut_edge = next(iter(cut.edges))
+    with pytest.raises(DomainError):
+        check_merge(g, cut, {some_cut_edge}, set())
 
 
 def test_restrict_class_tight_vs_separating():

@@ -8,10 +8,12 @@ benchmarks the code of its own checkout.  Per side, ``src_dirty``
 records whether ``src/`` differs from the checkout's commit when the
 runs start, and ``src_tree`` the git tree id of the committed ``src/``,
 or null when it is dirty, since that id would then name code other than
-what ran.  For every workload and seed, ``--pairs`` pairs run one
-after the other, the parent first in even pairs and the change first in
-odd ones, so that a drift in the host's speed falls on both sides
-alike.  With ``--trace`` one traced run per side follows, and its
+what ran.  ``src_lines`` is the total line count of
+``src/matchcover/*.py`` when the runs start (what ``wc -l`` sums), so
+the file carries the size of each side next to its speed.  For every
+workload and seed, ``--pairs`` pairs run one after the other, the
+parent first in even pairs and the change first in odd ones, so that a
+drift in the host's speed falls on both sides alike.  With ``--trace`` one traced run per side follows, and its
 per-layer metrics are kept with their change-minus-parent deltas.
 
 The output holds every run (its result line), and per workload@seed and
@@ -54,6 +56,12 @@ def _src_dirty(checkout: Path) -> bool:
     return bool(_git(checkout, "status", "--porcelain", "--", "src"))
 
 
+def _src_lines(checkout: Path) -> int:
+    """The total line count of the checkout's ``src/matchcover/*.py``."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "matchcover").glob("*.py"))
+
+
 def _spread(values: list[float]) -> dict:
     q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                  if len(values) > 1 else values * 3)
@@ -94,6 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     dirty = {side: _src_dirty(path) for side, path in checkouts.items()}
     tree = {side: None if dirty[side] else _git(path, "rev-parse", "HEAD:src") or None
             for side, path in checkouts.items()}
+    lines = {side: _src_lines(path) for side, path in checkouts.items()}
 
     bench = json.loads(args.out.read_text()) if args.append and args.out.exists() else {}
     bench.setdefault("runs", [])
@@ -125,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
                 bench["traced"][key] = traced
     bench["src_dirty"] = dirty
     bench["src_tree"] = tree
+    bench["src_lines"] = lines
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     return 0 if all(r["correct"] for r in bench["runs"]) else 1
 
