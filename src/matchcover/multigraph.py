@@ -27,8 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Ty
 
 from .errors import CapabilityError, DomainError, ParseError
 
-CANON_VERTEX_LIMIT = 24
-_CANON_NODE_BUDGET = 500_000
+_CANON_WORK_BUDGET = 1_500_000_000
 
 _T = TypeVar("_T")
 
@@ -94,13 +93,9 @@ class MultiGraph:
         edge_labels: Mapping[int, str] | None = None,
     ):
         if isinstance(vertices, int):
-            vertex_list = list(range(1, vertices + 1))
-        else:
-            vertex_list = list(vertices)
-        endpoints = {}
-        for i, (u, v) in enumerate(edges, start=1):
-            endpoints[i] = (u, v)
-        self._init_parts(vertex_list, endpoints, vertex_labels, edge_labels)
+            vertices = range(1, vertices + 1)
+        endpoints = dict(enumerate(edges, start=1))
+        self._init_parts(list(vertices), endpoints, vertex_labels, edge_labels)
 
     @classmethod
     def with_ids(
@@ -462,18 +457,22 @@ class CanonicalForm:
 
     @property
     def digest(self) -> str:
-        return hashlib.sha256(bytes([self.n]) + self.encoding).hexdigest()[:16]
+        n = b"\xff" * (self.n // 255) + bytes([self.n % 255])  # as _encode writes k
+        return hashlib.sha256(n + self.encoding).hexdigest()[:16]
 
     def __repr__(self) -> str:
         return f"CanonicalForm(n={self.n}, {self.digest})"
 
 
-def _refine(adj: list[int], mult: list[list[int]], colors: list[int]) -> list[int]:
+def _refine(
+    adj: list[int], mult: list[list[int]], colors: list[int], charge: Callable[[int], None]
+) -> list[int]:
     # Iterated color refinement: a vertex's new color is (old color,
     # multiset of (neighbor color, multiplicity)), renumbered by sorted
-    # signature.
+    # signature.  Each round charges its n x n scan.
     n = len(adj)
     while True:
+        charge(n * n)
         sigs = []
         for v in range(n):
             nbr = sorted(
@@ -538,12 +537,11 @@ def canonical_form(g: MultiGraph) -> CanonicalForm:
     explored child's subtree onto the skipped one, leaf encodings
     included: the minimum, and so every digest, is the one the full
     search finds.
+
+    The search keeps its own stack, and its one guard is the work budget
+    ``_CANON_WORK_BUDGET``: n^2 per refinement round and n per stored
+    automorphism folded, past which it raises ``CapabilityError``.
     """
-    if g.n > CANON_VERTEX_LIMIT:
-        raise CapabilityError(
-            f"canonical form: limited to {CANON_VERTEX_LIMIT} vertices, got {g.n} "
-            f"(multigraph.CANON_VERTEX_LIMIT)"
-        )
     index = {v: i for i, v in enumerate(g.vertices)}
     n = g.n
     adj = [0] * n
@@ -559,25 +557,25 @@ def canonical_form(g: MultiGraph) -> CanonicalForm:
     # (encoding, perm) with perm[i] the vertex at position i.
     leaves: list[tuple[bytes, list[int]]] = []
     autos: list[list[int]] = []
-    budget = [_CANON_NODE_BUDGET]
+    left = [_CANON_WORK_BUDGET]
 
-    def descend(colors: list[int], prefix: tuple[int, ...]) -> None:
-        budget[0] -= 1
-        if budget[0] < 0:
+    def charge(units: int) -> None:
+        left[0] -= units
+        if left[0] < 0:
             raise CapabilityError(
-                f"canonical form: search passed the {_CANON_NODE_BUDGET:,}-node limit "
-                f"(multigraph._CANON_NODE_BUDGET) on n={n}, m={g.m}"
+                f"canonical form: search passed the {_CANON_WORK_BUDGET:,}-unit work "
+                f"limit (n^2 per refinement round, n per automorphism folded; "
+                f"multigraph._CANON_WORK_BUDGET) on n={n}, m={g.m}"
             )
-        colors = _refine(adj, mult, colors)
+
+    def descend(colors: list[int], prefix: tuple[int, ...]) -> Iterator[tuple]:
+        # One node: refine, then yield each child not pruned, in order.
+        colors = _refine(adj, mult, colors, charge)
         by_color: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             by_color.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(by_color):
-            if len(by_color[c]) > 1:
-                cell = by_color[c]
-                if target is None or len(cell) < len(target):
-                    target = cell
+        cells = [cell for _, cell in sorted(by_color.items()) if len(cell) > 1]
+        target = min(cells, key=len, default=None)
         if target is None:
             perm = sorted(range(n), key=colors.__getitem__)
             enc = _encode(mult, perm)
@@ -586,10 +584,8 @@ def canonical_form(g: MultiGraph) -> CanonicalForm:
                 return
             for seen, at in leaves:
                 if enc == seen:
-                    auto = [0] * n
-                    for i in range(n):
-                        auto[at[i]] = perm[i]
-                    autos.append(auto)
+                    # the automorphism taking at[i] to perm[i], as a list
+                    autos.append([p for _, p in sorted(zip(at, perm))])
                     break
             if enc < leaves[1][0]:
                 leaves[1] = (enc, perm)
@@ -601,18 +597,21 @@ def canonical_form(g: MultiGraph) -> CanonicalForm:
         explored: list[int] = []
         fresh = max(colors) + 1
         for v in target:
+            charge(n * (len(autos) - folded))
             _fold_fixing(orbit, autos[folded:], prefix)
             folded = len(autos)
             if any(_find(orbit, v) == _find(orbit, u) for u in explored):
                 continue
             explored.append(v)
-            child = list(colors)
-            child[v] = fresh
-            descend(child, prefix + (v,))
+            yield colors[:v] + [fresh] + colors[v + 1:], prefix + (v,)
 
-    if n == 0:
-        return CanonicalForm(0, b"")
-    descend([0] * n, ())
+    stack = [descend([0] * n, ())]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(descend(*child))
     return CanonicalForm(n, leaves[1][0])
 
 

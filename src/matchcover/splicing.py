@@ -14,10 +14,10 @@ import dataclasses
 from itertools import permutations
 from typing import Mapping, NamedTuple, Optional
 
-from .cuts import _as_cut, contractions, is_separating_cut, is_tight_cut
+from .cuts import _as_cut, contractions, is_tight_cut
 from .dependence import is_equivalence_class
 from .errors import CapabilityError, DomainError, VerificationError
-from .matching import has_pm_containing, is_admissible
+from .matching import has_pm_containing, is_admissible, is_matching_covered
 from .multigraph import CanonicalForm, Cut, MultiGraph, canonical_form
 
 VARIANT_DEGREE_LIMIT = 8
@@ -151,10 +151,9 @@ def splice_variants(
     """All splice outcomes over the boundary bijections, keyed by
     canonical form (first witness kept).  Gated at degree 8: beyond
     that the factorial sweep is refused."""
-    star1 = sorted(g1.incident(v1)) if g1.has_vertex(v1) else None
-    star2 = sorted(g2.incident(v2)) if g2.has_vertex(v2) else None
-    if star1 is None or star2 is None:
+    if not (g1.has_vertex(v1) and g2.has_vertex(v2)):
         raise DomainError("splice vertices must exist in their graphs")
+    star1, star2 = sorted(g1.incident(v1)), sorted(g2.incident(v2))
     if len(star1) != len(star2):
         raise DomainError(
             f"degree mismatch: deg({v1}) = {len(star1)} vs deg({v2}) = {len(star2)}"
@@ -187,10 +186,10 @@ class CrossSupport:
     support: frozenset[int]
 
 
-def _side_graph(g: MultiGraph, cut: Cut, side: int) -> MultiGraph:
+def _kept(cut: Cut, side: int) -> frozenset[int]:
     if side not in (1, 2):
         raise DomainError("side must be 1 (shore kept) or 2 (complement kept)")
-    return contractions(g, cut)[side - 1]
+    return cut.shore if side == 1 else cut.other_shore
 
 
 def _support(h: MultiGraph, cut: Cut, side: int, f_edges: frozenset[int]) -> frozenset[int]:
@@ -212,10 +211,11 @@ def cross_support(
     contraction with one forced-matchability call per cut edge."""
     cut = _as_cut(g, c)
     f_edges = frozenset(F)
-    if not is_separating_cut(g, cut):
+    _kept(cut, side)  # rejects a side other than 1 or 2
+    pair = contractions(g, cut)
+    if not all(is_matching_covered(h) for h in pair):
         raise DomainError("cross support is defined over separating cuts")
-    support = _support(_side_graph(g, cut, side), cut, side, f_edges)
-    return CrossSupport(side, f_edges, support)
+    return CrossSupport(side, f_edges, _support(pair[side - 1], cut, side, f_edges))
 
 
 def check_merge(
@@ -270,8 +270,8 @@ def restrict_class(
     cut a nonempty restriction is itself a class of the contraction;
     across a merely separating cut only containment is guaranteed."""
     cut = _as_cut(g, c)
-    side_graph = _side_graph(g, cut, side)
-    edges = frozenset(e for e in F if side_graph.has_edge_id(e))
+    kept = _kept(cut, side)
+    edges = frozenset(e for e in F if g.has_edge_id(e) and kept & {*g.endpoints(e)})
     if not edges:
         return ClassRestriction(edges, "empty")
     relation = "equals_class" if is_tight_cut(g, cut) else "subset_of_class"

@@ -118,6 +118,12 @@ def sparse_mc_graphs(n: int, count: int = 3) -> list[MultiGraph]:
     return graphs
 
 
+def big_brace_graph() -> MultiGraph:
+    """Seeded matching covered graph on 30 vertices whose tight cut
+    decomposition has a brace leaf on 28 vertices."""
+    return random_mc_graph(random.Random(20), 30, 40)
+
+
 def build_corpus() -> list[tuple[str, MultiGraph]]:
     graphs: list[tuple[str, MultiGraph]] = [(name, named_graph(name)) for name in NAMED]
     graphs.append(("C4+parallel", _doubled("C4", 1)))

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from matchcover.cli import main
 from matchcover.generators import named_graph
-from matchcover.multigraph import canonical_form, format_graph, parse_graph
+from matchcover.multigraph import MultiGraph, canonical_form, format_graph, parse_graph
+
+from conftest import big_brace_graph
 
 
 def run(capsys, *argv):
@@ -255,6 +258,26 @@ def test_analyze_decompose_report_is_unchanged(capsys, name):
     code, out, _ = run(capsys, "analyze", name, "--json", "--decompose")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ANALYZE[name]
+
+
+def test_analyze_decompose_forms_a_brace_leaf_past_24_vertices(capsys, tmp_path):
+    # The leaf digests need a canonical form of a 28-vertex brace; they
+    # do not depend on the input's labels.
+    g = big_brace_graph()
+    image = list(g.vertices)
+    random.Random(1).shuffle(image)
+    to = dict(zip(g.vertices, image))
+    relabeled = MultiGraph(g.n, [tuple(to[x] for x in g.endpoints(e)) for e in g.edge_ids])
+    digests = []
+    for name, h in (("g.txt", g), ("relabeled.txt", relabeled)):
+        path = tmp_path / name
+        path.write_text(format_graph(h))
+        code, out, _ = run(capsys, "analyze", str(path), "--json", "--decompose")
+        assert code == 0
+        leaves = json.loads(out)["decomposition"]["leaves"]
+        assert any(leaf["tag"] == "brace" and leaf["n"] > 24 for leaf in leaves)
+        digests.append(sorted(leaf["canonical"] for leaf in leaves))
+    assert digests[0] == digests[1]
 
 
 def test_analyze_k66_needs_no_canonical_form(capsys):

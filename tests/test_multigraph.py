@@ -1,3 +1,6 @@
+import hashlib
+import inspect
+import sys
 from itertools import combinations
 
 import pytest
@@ -7,8 +10,9 @@ from hypothesis import strategies as st
 import matchcover.multigraph
 from matchcover.errors import CapabilityError, DomainError, ParseError
 from matchcover.generators import named_graph
+from matchcover.cuts import tight_cut_decomposition
 from matchcover.multigraph import (
-    CANON_VERTEX_LIMIT,
+    CanonicalForm,
     MultiGraph,
     _find,
     _fold_fixing,
@@ -18,7 +22,7 @@ from matchcover.multigraph import (
 )
 
 from _oracles import brute_canonical_form, brute_isomorphic
-from conftest import corpus_params, random_graph
+from conftest import big_brace_graph, corpus_params, random_graph
 import random
 
 
@@ -189,13 +193,59 @@ def test_canonical_form_tells_multiplicities_past_one_byte_apart(k):
     assert canonical_form(MultiGraph(2, [(1, 2)] * 254)).encoding == bytes([254])
 
 
-def test_canonical_form_size_limit():
-    assert CANON_VERTEX_LIMIT == 24
-    for n in (25, 26):
-        path = MultiGraph(n, [(i, i + 1) for i in range(1, n)])
-        with pytest.raises(CapabilityError, match=f"limited to 24 vertices, got {n}") as info:
-            canonical_form(path)
-        assert "multigraph.CANON_VERTEX_LIMIT" in str(info.value)
+@pytest.mark.parametrize("n", [25, 26])
+def test_canonical_form_of_paths_past_24_vertices(n):
+    path = MultiGraph(n, [(i, i + 1) for i in range(1, n)])
+    form = canonical_form(path)
+    assert form == brute_canonical_form(path)
+    assert form == canonical_form(_relabeled(random.Random(n), path))
+
+
+def test_canonical_form_of_a_brace_past_24_vertices():
+    leaves = tight_cut_decomposition(big_brace_graph()).leaves
+    leaf = next(leaf for leaf, tag in leaves if tag == "brace" and leaf.n > 24)
+    for h in (leaf, leaf.underlying_simple()):
+        form = canonical_form(h)
+        assert form == brute_canonical_form(h)
+        assert form == canonical_form(_relabeled(random.Random(h.m), h))
+
+
+def _forms_within(g: MultiGraph, frames: int) -> bool:
+    # Does canonical_form(g) finish with only `frames` interpreter frames
+    # to spare above the caller's?
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+        canonical_form(g)
+        return True
+    except RecursionError:
+        return False
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_canonical_form_search_depth_meets_no_stack_limit():
+    # K8,8's search goes 14 individualizations deep, K2's one.  The search
+    # keeps its own stack, so the deep one needs no more interpreter
+    # frames than the shallow one: only the work budget can refuse it.
+    frames = next(f for f in range(200) if _forms_within(MultiGraph(2, [(1, 2)]), f))
+    k = MultiGraph(16, [(i, j) for i in range(1, 9) for j in range(9, 17)])
+    assert _forms_within(k, frames + 3)
+
+
+def test_canonical_form_digest_writes_n_like_a_multiplicity():
+    # Below 255, n is its one byte, so no digest moves; from 255 on it is
+    # q bytes 0xff and then r, the way _encode writes a multiplicity.
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    form = canonical_form(named_graph("K3,3"))
+    assert form.digest == sha(bytes([6]) + form.encoding)
+    assert canonical_form(MultiGraph(0)) == CanonicalForm(0, b"")
+    assert CanonicalForm(254, b"\x01").digest == sha(bytes([254, 1]))
+    assert CanonicalForm(255, b"").digest == sha(b"\xff\x00")
+    assert CanonicalForm(300, b"").digest == sha(b"\xff" + bytes([45]))
+    assert CanonicalForm(300, b"").digest != CanonicalForm(45, b"").digest
 
 
 def _relabeled(rng: random.Random, g: MultiGraph) -> MultiGraph:
@@ -213,13 +263,36 @@ def test_canonical_form_invariant_under_relabeling(seed, n, extra):
     assert canonical_form(g) == canonical_form(_relabeled(rng, g))
 
 
-def test_canonical_form_size_limit_is_inclusive(monkeypatch):
-    # K12,12 has n = CANON_VERTEX_LIMIT and 2 * 12!^2 leaves, so it gets
-    # a form under a 5,000-node budget only because automorphisms prune
-    # the search.
-    monkeypatch.setattr(matchcover.multigraph, "_CANON_NODE_BUDGET", 5_000)
+def test_canonical_form_work_budget_is_inclusive(monkeypatch):
+    # K12,12 has 2 * 12!^2 leaves, so its search fits a budget this small
+    # only because automorphisms prune it.  Its work is 24^2 per
+    # refinement round plus 24 per stored automorphism folded; it gets a
+    # form under exactly that budget and is refused one unit below.
+    refine, fold = matchcover.multigraph._refine, matchcover.multigraph._fold_fixing
+    units = []
+
+    def refine_spy(adj, mult, colors, charge):
+        def counted(k):
+            units.append(k)
+            charge(k)
+
+        return refine(adj, mult, colors, counted)
+
+    def fold_spy(orbit, autos, prefix):
+        units.append(len(orbit) * len(autos))
+        fold(orbit, autos, prefix)
+
     k = MultiGraph(24, [(i, j) for i in range(1, 13) for j in range(13, 25)])
-    assert canonical_form(k).n == 24
+    monkeypatch.setattr(matchcover.multigraph, "_refine", refine_spy)
+    monkeypatch.setattr(matchcover.multigraph, "_fold_fixing", fold_spy)
+    form = canonical_form(k)
+    work = sum(units)
+    assert work == 3_381_240
+    monkeypatch.setattr(matchcover.multigraph, "_CANON_WORK_BUDGET", work)
+    assert canonical_form(k) == form
+    monkeypatch.setattr(matchcover.multigraph, "_CANON_WORK_BUDGET", work - 1)
+    with pytest.raises(CapabilityError, match="_CANON_WORK_BUDGET"):
+        canonical_form(k)
 
 
 def test_orbit_fold_leaves_out_automorphisms_that_move_the_prefix():
@@ -256,14 +329,16 @@ def test_canonical_form_folds_automorphisms_through_the_prefix_filter(monkeypatc
 
 
 def test_canonical_form_budget_refusal_names_phase_limit_and_setting(monkeypatch):
-    # K5,5 takes 97 search nodes
-    monkeypatch.setattr(matchcover.multigraph, "_CANON_NODE_BUDGET", 50)
+    # K5,5 spends 20,820 units: 100 refinement rounds of 10^2, and 1,082
+    # folds of a stored automorphism at 10 each
+    monkeypatch.setattr(matchcover.multigraph, "_CANON_WORK_BUDGET", 5_000)
     with pytest.raises(CapabilityError) as info:
         canonical_form(named_graph("K5,5"))
     message = str(info.value)
     assert message.startswith("canonical form:")
-    assert "50-node limit" in message
-    assert "_CANON_NODE_BUDGET" in message
+    assert "5,000-unit work limit" in message
+    assert "n^2 per refinement round, n per automorphism folded" in message
+    assert "multigraph._CANON_WORK_BUDGET" in message
 
 
 def _oracle_inputs(g: MultiGraph) -> list[MultiGraph]:

@@ -212,11 +212,7 @@ def test_check_merge_positive_case():
     assert check_merge(g, cut, {f0}, {f1}, cross_check=True)
 
 
-def test_check_merge_builds_the_contractions_once(monkeypatch):
-    # One pair of contractions serves both supports and the merged
-    # branch; a tight cut needs no separating re-check.
-    from matchcover.generators import build_high_kappa_epsilon
-
+def _spy_contractions(monkeypatch) -> list:
     built = []
 
     def spy(g, c):
@@ -225,6 +221,15 @@ def test_check_merge_builds_the_contractions_once(monkeypatch):
 
     monkeypatch.setattr(matchcover.cuts, "contractions", spy)
     monkeypatch.setattr(matchcover.splicing, "contractions", spy)
+    return built
+
+
+def test_check_merge_builds_the_contractions_once(monkeypatch):
+    # One pair of contractions serves both supports and the merged
+    # branch; a tight cut needs no separating re-check.
+    from matchcover.generators import build_high_kappa_epsilon
+
+    built = _spy_contractions(monkeypatch)
     t = build_high_kappa_epsilon(2, 2)
     g = t.final
     cut = g.cut(t.cuts[0].shore)
@@ -235,6 +240,32 @@ def test_check_merge_builds_the_contractions_once(monkeypatch):
     some_cut_edge = next(iter(cut.edges))
     with pytest.raises(DomainError):
         check_merge(g, cut, {some_cut_edge}, set())
+
+
+def test_cross_support_builds_the_contractions_once(monkeypatch):
+    # One pair serves both the separating check and the support.
+    g, cut = _bip_splice()
+    expected = {side: cross_support(g, cut, side, set()) for side in (1, 2)}
+    built = _spy_contractions(monkeypatch)
+    for side in (1, 2):
+        assert cross_support(g, cut, side, set()) == expected[side]
+    assert built == [g, g]
+    with pytest.raises(DomainError, match="side must be 1"):
+        cross_support(g, cut, 3, set())
+
+
+def test_restrict_class_builds_no_contraction(monkeypatch):
+    # A side's edges are read off the shore: an end on the kept side.
+    g, cut = _bip_splice()
+    g1, g2 = contractions(g, cut)
+    built = _spy_contractions(monkeypatch)
+    for cls in equivalence_partition(g):
+        for side, h in ((1, g1), (2, g2)):
+            edges = frozenset(e for e in cls if h.has_edge_id(e))
+            assert restrict_class(g, cut, cls | {10_000}, side).edges == edges
+    assert built == []
+    with pytest.raises(DomainError, match="side must be 1"):
+        restrict_class(g, cut, set(), 0)
 
 
 def test_restrict_class_tight_vs_separating():
