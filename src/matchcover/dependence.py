@@ -7,6 +7,13 @@ the one place that test is made; the memoized ``g - f`` it runs on is
 shared by every query.  Mutual dependence partitions the edge set;
 epsilon is the largest class size.
 
+Most pairs are refuted without that test.  ``matching._signatures``
+keeps, per graph, a pool of perfect matchings and each edge's witness
+signature (which pool matchings hold it).  A matching that holds e but
+not f proves that e does not depend on f, so only edges with equal
+signatures can share a class, and only their pairs get a ``_depends``
+test: every split is a proof and every join a ``_depends`` answer.
+
 Removability is read off the memoized partition in one pass (Carvalho,
 Lucchesi and Murty 1999): a class R is removable exactly when no edge
 outside R depends on an edge of R and ``g - R`` is connected, and an
@@ -20,20 +27,24 @@ import dataclasses
 from typing import Iterable
 
 from .errors import DomainError
-from .matching import _require_mc, has_pm_containing
+from .matching import _require_mc, _signatures, has_pm_containing
 from .multigraph import MultiGraph, _memoized, _partition
 
 
 def _depends(g: MultiGraph, e: int, f: int) -> bool:
-    """e lies in no perfect matching of g - f: the one dependence test.
-    Every query about g - f shares its memoized graph and engine."""
-    return not has_pm_containing(g.delete_edge(f), (e,))
+    """e lies in no perfect matching of g - f (trivially when e is f): the
+    one dependence test.  Every query about g - f shares its memoized
+    graph and engine."""
+    return e == f or not has_pm_containing(g.delete_edge(f), (e,))
 
 
 def _check_ids(g: MultiGraph, *edges: int) -> None:
-    for edge in edges:
-        if not g.has_edge_id(edge):
-            raise DomainError(f"unknown edge id {edge}")
+    """``DomainError`` naming every id that is not an edge of g."""
+    unknown = sorted({edge for edge in edges if not g.has_edge_id(edge)})
+    if len(unknown) == 1:
+        raise DomainError(f"unknown edge id {unknown[0]}")
+    if unknown:
+        raise DomainError(f"unknown edge ids {unknown}")
 
 
 def depends_on(g: MultiGraph, e: int, f: int) -> bool:
@@ -75,27 +86,40 @@ def equivalence_partition(g: MultiGraph) -> EquivalencePartition:
     """The partition of E(g) into mutual-dependence classes, computed
     once per graph.
 
-    O(m^2) pairwise tests joined by union-find; pairs already joined
-    transitively are skipped.
+    The edges are grouped by witness signature, and union-find joins
+    mutually dependent pairs inside each group only; pairs already
+    joined transitively are skipped.
     """
     _require_mc(g, "equivalence partition")
-    return EquivalencePartition(
-        _partition(g.edge_ids, lambda e, f: _depends(g, e, f) and _depends(g, f, e))
-    )
+    sig = _signatures(g)
+    groups: dict[int, list[int]] = {}
+    for e in g.edge_ids:
+        groups.setdefault(sig[e], []).append(e)
+    classes = [
+        c
+        for group in groups.values()
+        for c in _partition(group, lambda e, f: _depends(g, e, f) and _depends(g, f, e))
+    ]
+    return EquivalencePartition(tuple(sorted(classes, key=min)))
 
 
 def class_of(g: MultiGraph, e: int) -> frozenset[int]:
     """The mutual-dependence class containing e, without building the
-    whole partition (m pair tests instead of m^2)."""
+    whole partition: pair tests only against the edges that share e's
+    witness signature."""
     _check_ids(g, e)
+    sig = _signatures(g)
     return frozenset(
-        f for f in g.edge_ids if _depends(g, f, e) and _depends(g, e, f)
+        f for f in g.edge_ids
+        if sig[f] == sig[e] and _depends(g, f, e) and _depends(g, e, f)
     )
 
 
 def is_equivalence_class(g: MultiGraph, edges: Iterable[int]) -> bool:
-    """Is the given edge set exactly one class of the partition?"""
+    """Is the given edge set exactly one class of the partition?  Every
+    id must be an edge of g."""
     f_set = frozenset(edges)
+    _check_ids(g, *f_set)
     if not f_set:
         return False
     return class_of(g, min(f_set)) == f_set
@@ -121,8 +145,11 @@ def _removable(g: MultiGraph, r: frozenset[int]) -> bool:
     """
     e = min(r)
     rest = g.delete_edge(e) if len(r) == 1 else g.delete_edges(r)
+    sig = _signatures(g)
+    # A pool matching that holds f but not e is a perfect matching of
+    # g - e through f, so f does not depend on e.
     return rest.is_connected and not any(
-        _depends(g, f, e) for f in g.edge_ids if f not in r
+        _depends(g, f, e) for f in g.edge_ids if f not in r and not sig[f] & ~sig[e]
     )
 
 

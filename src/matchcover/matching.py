@@ -4,20 +4,31 @@ One engine sits behind every predicate: an augmenting-path search with
 blossom shrinking (Edmonds 1965).  The first query against a graph
 builds the vertex index map, the simple adjacency lists over indices
 and one maximum matching, and keeps them in the graph's per-graph memo.
-Each query "does g minus S have a perfect matching?" copies that cached
+Each query "does g minus S have a perfect matching?" (``_pm_minus``,
+behind ``matchable_minus`` and ``has_pm_containing``) copies that cached
 matching, unmatches the mates of S and re-augments: one alternating-tree
 search from each exposed vertex left, so at most |S| searches when the
-cached matching is perfect.
+cached matching is perfect.  It returns the perfect matching it
+completes.
+
+Those matchings make a per-graph pool (``_signatures``): the cached
+matching, then one perfect matching through each edge that no earlier
+pool matching holds.  Each edge's witness signature records which pool
+matchings hold it.  An edge is admissible exactly when its signature is
+nonzero, which is how ``is_matching_covered`` reads it, and the
+dependence module refutes dependence between edges whose signatures
+differ.
 
 Parallel edges are collapsed for the engine (a matching never needs two
 parallel edges) and answers are lifted back to edge ids.  The
-matching-covered verdict is memoized per graph the same way.
+signatures and the matching-covered verdict are memoized per graph the
+same way.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import CapabilityError, DomainError
 from .multigraph import MultiGraph, _memoized
@@ -173,16 +184,14 @@ def maximum_matching(g: MultiGraph) -> frozenset[int]:
 # -- matchability oracle ----------------------------------------------------
 
 
-def matchable_minus(g: MultiGraph, removed: Iterable[int] = ()) -> bool:
-    """Does ``g`` minus the given vertices have a perfect matching?"""
-    gone = frozenset(removed)
+def _pm_minus(g: MultiGraph, gone: frozenset[int]) -> list[int] | None:
+    """A perfect matching of ``g`` minus the vertices ``gone``, as a mate
+    list over the engine's vertex indices (-1 at the indices of
+    ``gone``), or None when there is none."""
     if not gone <= g._vset:
         raise DomainError(f"unknown vertices: {sorted(gone - g._vset)}")
-    active_count = g.n - len(gone)
-    if active_count % 2 == 1:
-        return False
-    if active_count == 0:
-        return True
+    if (g.n - len(gone)) % 2 == 1:
+        return None
     index, adj, cached = _engine(g)
     dead = {index[v] for v in gone}
     match = list(cached)
@@ -201,8 +210,13 @@ def matchable_minus(g: MultiGraph, removed: Iterable[int] = ()) -> bool:
         if match[root] == -1 and not _augment(adj, match, root, dead):
             # By Edmonds, a vertex that no augmenting path reaches stays
             # exposed in some maximum matching, so g - S has no perfect one.
-            return False
-    return True
+            return None
+    return match
+
+
+def matchable_minus(g: MultiGraph, removed: Iterable[int] = ()) -> bool:
+    """Does ``g`` minus the given vertices have a perfect matching?"""
+    return _pm_minus(g, frozenset(removed)) is not None
 
 
 def is_matchable(g: MultiGraph) -> bool:
@@ -212,11 +226,11 @@ def is_matchable(g: MultiGraph) -> bool:
 def has_pm_containing(g: MultiGraph, forced: Iterable[int]) -> bool:
     """Does some perfect matching contain every edge of ``forced``?
 
-    False (not an error) when the forced edges are adjacent or when an
-    id is not an edge of ``g``.
+    False (not an error) when two distinct forced edges are adjacent or
+    when an id is not an edge of ``g``; a repeated id counts once.
     """
     covered: set[int] = set()
-    for e in forced:
+    for e in set(forced):
         if not g.has_edge_id(e):
             return False
         u, v = g.endpoints(e)
@@ -224,7 +238,7 @@ def has_pm_containing(g: MultiGraph, forced: Iterable[int]) -> bool:
             return False
         covered.add(u)
         covered.add(v)
-    return matchable_minus(g, covered)
+    return _pm_minus(g, frozenset(covered)) is not None
 
 
 def is_admissible(g: MultiGraph, e: int) -> bool:
@@ -235,13 +249,50 @@ def is_admissible(g: MultiGraph, e: int) -> bool:
 
 
 @_memoized
+def _signatures(g: MultiGraph) -> dict[int, int]:
+    """Each edge id's witness signature: bit k is set when matching k of
+    a pool of perfect matchings of ``g`` holds the edge's vertex pair.
+
+    The pool starts from the engine's cached matching (when it is not
+    perfect, no edge is admissible) and gains one perfect matching
+    through each edge that no earlier pool matching holds; an edge in
+    no perfect matching keeps signature 0.  A matching that holds e but
+    not f proves that e does not depend on f, so only edges with equal
+    signatures can be mutually dependent.  Parallel edges share a pair,
+    hence a signature: any of them completes the same matchings.
+    """
+    index, _, cached = _engine(g)
+    if -1 in cached:
+        return dict.fromkeys(g.edge_ids, 0)
+    pairs = {e: (index[u], index[v]) for e, (u, v) in g.edge_items()}
+    bits: dict[tuple[int, int], int] = {}
+
+    def pool() -> Iterator[Sequence[int]]:
+        # Lazy: each edge is looked up after every earlier matching is in bits.
+        yield cached
+        for e, (i, j) in pairs.items():
+            if (i, j) not in bits:
+                match = _pm_minus(g, frozenset(g.endpoints(e)))
+                if match is not None:
+                    match[i], match[j] = j, i
+                    yield match
+
+    for k, match in enumerate(pool()):
+        for a, b in enumerate(match):
+            if a < b:
+                bits[a, b] = bits.get((a, b), 0) | 1 << k
+    return {e: bits.get(pair, 0) for e, pair in pairs.items()}
+
+
+@_memoized
 def is_matching_covered(g: MultiGraph) -> bool:
-    """Connected, order >= 2, and every edge admissible."""
+    """Connected, order >= 2, and every edge admissible: every witness
+    signature nonzero."""
     return (
         g.n >= 2
         and g.n % 2 == 0
         and g.is_connected
-        and all(has_pm_containing(g, (e,)) for e in g.edge_ids)
+        and all(_signatures(g).values())
     )
 
 

@@ -3,7 +3,11 @@
 Everything here is deliberately naive: straight recursion and full
 enumeration, no shared state with the library beyond the MultiGraph
 accessors. Keep it that way.  The exceptions keep the library's
-earlier bodies.  ``brute_removable_edges`` /
+earlier bodies.  ``pairwise_equivalence_partition``,
+``pairwise_class_of`` and ``sweep_removable`` keep the dependence
+queries from before the witness signatures: an exact ``_depends`` test
+for every pair of edges, or against every other edge.
+``brute_removable_edges`` /
 ``brute_removable_classes`` keep the earlier removability, which asked
 the matching engine whether each ``g - e`` and each ``g - R`` is
 matching covered; ``pm_removable`` decides the same question from the
@@ -20,10 +24,20 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from matchcover.dependence import equivalence_partition
+from matchcover.dependence import (
+    EquivalencePartition,
+    _check_ids,
+    _depends,
+    equivalence_partition,
+)
 from matchcover.errors import CapabilityError, DomainError
-from matchcover.matching import is_matching_covered, matchable_minus, maximum_matching
-from matchcover.multigraph import CanonicalForm, Cut, MultiGraph
+from matchcover.matching import (
+    _require_mc,
+    is_matching_covered,
+    matchable_minus,
+    maximum_matching,
+)
+from matchcover.multigraph import CanonicalForm, Cut, MultiGraph, _partition
 
 
 def brute_max_matching(g: MultiGraph) -> int:
@@ -104,6 +118,33 @@ def incidence_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
         key = frozenset(i for i, pm in enumerate(pms) if e in pm)
         groups.setdefault(key, set()).add(e)
     return tuple(sorted((frozenset(s) for s in groups.values()), key=min))
+
+
+def pairwise_equivalence_partition(g: MultiGraph) -> EquivalencePartition:
+    """The partition of E(g) into mutual-dependence classes, by O(m^2)
+    pairwise tests joined by union-find."""
+    _require_mc(g, "equivalence partition")
+    return EquivalencePartition(
+        _partition(g.edge_ids, lambda e, f: _depends(g, e, f) and _depends(g, f, e))
+    )
+
+
+def pairwise_class_of(g: MultiGraph, e: int) -> frozenset[int]:
+    """The mutual-dependence class containing e, by m pair tests."""
+    _check_ids(g, e)
+    return frozenset(
+        f for f in g.edge_ids if _depends(g, f, e) and _depends(g, e, f)
+    )
+
+
+def sweep_removable(g: MultiGraph, r: frozenset[int]) -> bool:
+    """Is g - r matching covered, for r one edge or one class?  No edge
+    outside r may depend on ``min(r)``; every one of them is tested."""
+    e = min(r)
+    rest = g.delete_edge(e) if len(r) == 1 else g.delete_edges(r)
+    return rest.is_connected and not any(
+        _depends(g, f, e) for f in g.edge_ids if f not in r
+    )
 
 
 def _reject_k2(g: MultiGraph) -> None:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchcover.dependence import (
+    _removable,
     class_of,
     depends_on,
     epsilon,
@@ -17,7 +18,7 @@ from matchcover.dependence import (
 )
 from matchcover.errors import DomainError
 from matchcover.generators import labeled_edge, named_graph
-from matchcover.matching import is_matching_covered
+from matchcover.matching import is_admissible, is_matching_covered
 from matchcover.multigraph import MultiGraph
 from matchcover.structure import canonical_partition, even_2cuts
 
@@ -25,7 +26,10 @@ from _oracles import (
     brute_removable_classes,
     brute_removable_edges,
     incidence_partition,
+    pairwise_class_of,
+    pairwise_equivalence_partition,
     pm_removable,
+    sweep_removable,
 )
 from conftest import (
     corpus_params,
@@ -88,6 +92,18 @@ def test_is_equivalence_class():
     assert not is_equivalence_class(g, {1})
     assert not is_equivalence_class(g, {1, 4, 7})
     assert is_equivalence_class(g, {7})
+
+
+@pytest.mark.parametrize("extra", [{999}, {998, 999}])
+@pytest.mark.parametrize("known", [set(), {1, 4}, {7}, {1, 2}])
+def test_is_equivalence_class_names_every_unknown_id(known, extra):
+    # An unknown id is refused whether or not it is the least id given.
+    g = named_graph("C6bar")
+    message = f"unknown edge id {min(extra)}" if len(extra) == 1 else "unknown edge ids"
+    with pytest.raises(DomainError, match=message) as info:
+        is_equivalence_class(g, known | extra)
+    for edge in extra:
+        assert str(edge) in str(info.value)
 
 
 def test_parallel_edges_are_mutually_dependent_nowhere():
@@ -241,3 +257,57 @@ def test_removability_needs_a_matching_covered_graph():
     for query in queries:
         with pytest.raises(DomainError, match="matching covered"):
             query(g)
+
+
+def _assert_signature_queries_agree(g: MultiGraph) -> None:
+    # The signature-filtered queries against the pairwise ones they
+    # replace, and the partition against full enumeration.
+    classes = equivalence_partition(g).classes
+    assert classes == pairwise_equivalence_partition(g).classes == incidence_partition(g)
+    for e in g.edge_ids:
+        assert class_of(g, e) == pairwise_class_of(g, e)
+    for r in {frozenset((e,)) for e in g.edge_ids} | set(classes):
+        assert _removable(g, r) == sweep_removable(g, r)
+
+
+@pytest.mark.parametrize("g", corpus_params())
+def test_signature_queries_agree_with_pairwise_tests(g):
+    _assert_signature_queries_agree(g)
+
+
+@pytest.mark.parametrize("n", (18, 20))
+def test_signature_queries_agree_with_pairwise_tests_on_sparse_graphs(n):
+    for g in sparse_mc_graphs(n):
+        _assert_signature_queries_agree(g)
+
+
+def test_signature_queries_agree_on_seeded_random_graphs():
+    # Bipartite and non-bipartite in turn, every other pair with one
+    # edge doubled (parallel edges share a signature).
+    rng = random.Random(12_1999)
+    for i in range(40):
+        make = random_mc_graph if i % 2 else random_nonbipartite_mc_graph
+        g = make(rng, rng.choice((6, 8, 10, 12)), rng.randrange(2, 12))
+        if i // 2 % 2:
+            g = g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0]
+        _assert_signature_queries_agree(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(MultiGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]), id="path"),
+        pytest.param(named_graph("C6").add_edge(1, 3)[0], id="C6+inadmissible"),
+        pytest.param(MultiGraph(4, [(1, 2), (1, 3), (1, 4)]), id="star"),
+        pytest.param(MultiGraph(3, [(1, 2), (2, 3), (1, 3)]), id="triangle"),
+    ],
+)
+def test_class_of_agrees_with_pairwise_tests_off_matching_covered_graphs(g):
+    # The inadmissible edges have signature 0 and form one class.
+    assert not is_matching_covered(g)
+    inadmissible = frozenset(e for e in g.edge_ids if not is_admissible(g, e))
+    assert inadmissible
+    for e in g.edge_ids:
+        assert class_of(g, e) == pairwise_class_of(g, e)
+        if e in inadmissible:
+            assert class_of(g, e) == inadmissible

@@ -63,6 +63,14 @@ def test_has_pm_containing():
     assert not has_pm_containing(g, (1, 4))  # different matchings
 
 
+def test_has_pm_containing_counts_a_repeated_id_once():
+    g = named_graph("C4")
+    assert has_pm_containing(g, [1])
+    assert has_pm_containing(g, [1, 1])
+    assert has_pm_containing(g, (1, 3, 1, 3))
+    assert not has_pm_containing(g, [1, 1, 2])
+
+
 def test_has_pm_containing_unknown_edge():
     g = named_graph("C6")
     assert not has_pm_containing(g, (99,))

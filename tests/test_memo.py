@@ -32,7 +32,13 @@ from matchcover.dependence import (
 )
 from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.generators import named_graph
-from matchcover.matching import _engine, matchable_minus, maximum_matching
+from matchcover.matching import (
+    _engine,
+    _pm_minus,
+    _signatures,
+    is_matching_covered,
+    maximum_matching,
+)
 from matchcover.multigraph import MultiGraph
 from matchcover.structure import _even_2cuts, canonical_partition, even_2cuts
 
@@ -131,6 +137,36 @@ def test_dependence_queries_share_each_edge_deletion():
     assert set(runs.values()) == {1}
 
 
+def test_signature_pool_is_built_once_and_shared():
+    # The matching-covered verdict, the partition, every class_of and
+    # removability all read one pool, built for g and for no g - e.
+    g = named_graph("prism4")
+
+    def run():
+        assert is_matching_covered(g)
+        classes = equivalence_partition(g)
+        for e in g.edge_ids:
+            assert class_of(g, e) == classes.class_of(e)
+        removable_edges(g)
+        removable_classes(g)
+
+    pools = _calls(_signatures.__wrapped__.__code__, run)
+    assert [call["g"] for call in pools] == [g]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _CORPUS])
+def test_matching_covered_asks_at_most_one_query_per_edge(name):
+    # One perfect matching through each edge that no earlier pool
+    # matching holds; the cached matching already holds n/2 edges.
+    g = dict(_CORPUS)[name]
+    fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+    queries = _calls(_pm_minus.__code__, is_matching_covered, fresh)
+    assert all(call["g"] is fresh for call in queries)
+    assert len(queries) <= fresh.m - fresh.n // 2
+    if name in ("C6", "K4"):
+        assert len(queries) < fresh.m
+
+
 def test_removable_classes_reuse_the_removable_edges_pass():
     # One pass over the partition answers both; C6bar has removable
     # classes of two edges and non-removable singletons.
@@ -139,7 +175,7 @@ def test_removable_classes_reuse_the_removable_edges_pass():
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is matchable_minus.__code__:
+        if event == "call" and frame.f_code is _pm_minus.__code__:
             calls.append(frame.f_locals["g"])
 
     sys.setprofile(profile)
@@ -202,8 +238,8 @@ def test_brick_test_reads_bicriticality_off_the_canonical_partition(name):
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is matchable_minus.__code__:
-            calls.append(frame.f_locals["removed"])
+        if event == "call" and frame.f_code is _pm_minus.__code__:
+            calls.append(frame.f_locals["gone"])
 
     sys.setprofile(profile)
     try:
@@ -237,7 +273,7 @@ def test_brace_test_asks_no_matchability_query(name):
     g = named_graph(name)
     parts = g.bipartition()
     assert (_brace_obstruction(g, parts) is None) == (name == "K4,4")
-    assert _calls(matchable_minus.__code__, _brace_obstruction, g, parts) == []
+    assert _calls(_pm_minus.__code__, _brace_obstruction, g, parts) == []
 
 
 @pytest.mark.parametrize("name", ["petersen", "prism3"])
