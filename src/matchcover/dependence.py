@@ -32,19 +32,16 @@ from .multigraph import MultiGraph, _memoized, _partition
 
 
 def _depends(g: MultiGraph, e: int, f: int) -> bool:
-    """e lies in no perfect matching of g - f (trivially when e is f): the
-    one dependence test.  Every query about g - f shares its memoized
-    graph and engine."""
-    return e == f or not has_pm_containing(g.delete_edge(f), (e,))
+    """e lies in no perfect matching of g - f: the one dependence test.
+    Every query about g - f shares its memoized graph and engine."""
+    return not has_pm_containing(g.delete_edge(f), (e,))
 
 
 def _check_ids(g: MultiGraph, *edges: int) -> None:
     """``DomainError`` naming every id that is not an edge of g."""
     unknown = sorted({edge for edge in edges if not g.has_edge_id(edge)})
-    if len(unknown) == 1:
-        raise DomainError(f"unknown edge id {unknown[0]}")
     if unknown:
-        raise DomainError(f"unknown edge ids {unknown}")
+        raise DomainError(f"unknown edge id {', '.join(map(str, unknown))}")
 
 
 def depends_on(g: MultiGraph, e: int, f: int) -> bool:

@@ -99,11 +99,8 @@ def test_is_equivalence_class():
 def test_is_equivalence_class_names_every_unknown_id(known, extra):
     # An unknown id is refused whether or not it is the least id given.
     g = named_graph("C6bar")
-    message = f"unknown edge id {min(extra)}" if len(extra) == 1 else "unknown edge ids"
-    with pytest.raises(DomainError, match=message) as info:
+    with pytest.raises(DomainError, match=f"unknown edge id {', '.join(map(str, sorted(extra)))}$"):
         is_equivalence_class(g, known | extra)
-    for edge in extra:
-        assert str(edge) in str(info.value)
 
 
 def test_parallel_edges_are_mutually_dependent_nowhere():
