@@ -41,8 +41,8 @@ from .errors import (
 )
 from .generators import build_high_kappa_epsilon, named_graph, verify_trace
 from .matching import (
+    _signatures,
     enumerate_pms,
-    is_admissible,
     is_matchable,
     is_matching_covered,
 )
@@ -62,12 +62,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _read(path: Path) -> str:
+    """A graph file's text; a file that cannot be read as UTF-8 text (a
+    directory, no permission, other bytes) is a ``ParseError``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{str(path)!r} is not UTF-8 text (byte {exc.start})") from None
+
+
 def _load(source: str) -> tuple[MultiGraph, str, str]:
     """A graph from a file path, or from a generator name as fallback.
     Returns (graph, display name, content sha256)."""
     path = Path(source)
     if path.exists():
-        text = path.read_text()
+        text = _read(path)
         return parse_graph(text), source, hashlib.sha256(text.encode()).hexdigest()
     try:
         g = named_graph(source)
@@ -117,10 +128,10 @@ def _mc_witness(g: MultiGraph) -> dict:
         return {"reason": "disconnected", "edge": None}
     if not is_matchable(g):
         return {"reason": "no perfect matching", "edge": None}
-    for e in g.edge_ids:
-        if not is_admissible(g, e):
-            return {"reason": "inadmissible edge", "edge": e}
-    return {"reason": "unknown", "edge": None}
+    # Even, connected and matchable: g is matching covered unless some
+    # edge lies in no perfect matching, that is has witness signature 0.
+    sig = _signatures(g)
+    return {"reason": "inadmissible edge", "edge": next(e for e in g.edge_ids if not sig[e])}
 
 
 def _oracle_checks(g: MultiGraph, eq) -> dict:
@@ -463,7 +474,7 @@ def cmd_corpus(args) -> int:
     for path in sorted(directory.glob("*.g")):
         rows += 1
         try:
-            g = parse_graph(path.read_text())
+            g = parse_graph(_read(path))
         except ParseError as exc:
             sys.stdout.write(f"{path.name:<32} FAIL  {exc}\n")
             failures += 1

@@ -9,15 +9,16 @@ depth-first search per vertex (Hopcroft-Tarjan).  Bipartite graphs are
 certified by the brace characterization (a failing 4-tuple deletion
 yields a Hall-type set S with |N(S)| = |S| + 1 whose closed neighborhood
 is a verified tight shore); the 4-tuples are settled by one
-re-augmentation and one alternating search per deleted triple, not one
-matchability query each, and S is read off one more search on that same
-matching.  Both passes list exactly what the plain pair and 4-tuple
-scans list, in the same order.  Nonbipartite graphs are certified by
-the brick test: 3-connected and bicritical, where bicriticality is
-read off the memoized canonical partition (all parts singletons).  A
-raw exhaustive odd-shore scan stays available as the cross-check
-authority; the certified search never falls back to it.  The first
-tight cut and the default decomposition are memoized per graph.
+re-augmentation and one failed search of the matching engine per
+deleted triple, not one matchability query each, and S is the outer
+labels of one more failed search on that same matching.  Both passes
+list what the plain pair and 4-tuple scans list, in the same order.
+Nonbipartite graphs are certified by the brick test: 3-connected and
+bicritical, where bicriticality is read off the memoized canonical
+partition (all parts singletons).  A raw exhaustive odd-shore scan
+stays available as the cross-check authority; the certified search
+never falls back to it.  The first tight cut and the default
+decomposition are memoized per graph.
 """
 
 from __future__ import annotations
@@ -179,42 +180,20 @@ def _two_separation_candidates(g: MultiGraph) -> list[Cut]:
     return out
 
 
-def _even_reach(
-    adj: tuple[tuple[int, ...], ...], match: list[int], root: int, x: int, y: int
-) -> list[bool]:
-    # Breadth-first alternating search from `root`: out by any edge that
-    # avoids x and y, back by the mate.  Marks the vertices of root's
-    # side that an even alternating path reaches.
-    reached = [False] * len(adj)
-    reached[root] = True
-    queue = [root]
-    for v in queue:  # breadth first: the loop reaches what is appended
-        for u in adj[v]:
-            if u != x and u != y:
-                m = match[u]
-                if not reached[m]:
-                    reached[m] = True
-                    queue.append(m)
-    return reached
-
-
 def _brace_obstruction(
     g: MultiGraph, parts: tuple[frozenset[int], frozenset[int]]
 ) -> Optional[tuple[tuple[int, int, int, int], frozenset[int]]]:
-    # A bipartite matching covered graph of order >= 6 is a brace iff
-    # deleting any two vertices per side leaves a matchable graph; the
-    # first failing 4-tuple (a1 < a2, b1 < b2, in that order) is
-    # returned with its Hall set S.  For each (a1, a2, b1), the cached
-    # perfect matching minus the three deleted vertices, re-augmented
-    # from the mate of b1, leaves one exposed B-vertex w in
-    # g - a1 - a2 - b1.  Deleting b2 as well is then matchable exactly
-    # when an even alternating path runs from w to b2 (Dulmage-
-    # Mendelsohn), so one search from w marks every b2.  At a failing b2
-    # the same matching minus b2's edge is maximum in
-    # h = g - a1 - a2 - b1 - b2 and misses only the mate of b2 on the A
-    # side; the A-vertices an even alternating path reaches from it are
-    # the A side of the Gallai-Edmonds set D(h), the same for every
-    # maximum matching, and |N_h(S)| = |S| - 1.
+    # A bipartite matching covered graph of order >= 6 is a brace iff deleting
+    # any two vertices per side leaves a matchable graph; the first failing
+    # 4-tuple (a1 < a2, b1 < b2, in that order) is returned with its Hall set
+    # S.  For each (a1, a2, b1), the cached perfect matching minus the three
+    # deleted vertices, re-augmented from the mate of b1, leaves one exposed
+    # B-vertex w in g - a1 - a2 - b1.  Deleting b2 as well is then matchable
+    # exactly when an even alternating path runs from w to b2 (Dulmage-
+    # Mendelsohn), so one failed search from w marks every b2.  At a failing b2
+    # the matching minus b2's edge is maximum in h = g - a1 - a2 - b1 - b2, and
+    # the A-vertices that a failed search from b2's mate labels outer are the A
+    # side of the Gallai-Edmonds set D(h): |N_h(S)| = |S| - 1.
     index, adj, cached = _engine(g)
     verts = g.vertices
     a_side = sorted(index[a] for a in parts[0])
@@ -226,7 +205,7 @@ def _brace_obstruction(
             for v in dead:
                 match[v] = match[cached[v]] = -1
             z = cached[b1]
-            if z != a1 and z != a2 and not _augment(adj, match, z, dead):
+            if z != a1 and z != a2 and _augment(adj, match, z, dead) is not None:
                 # g - a2 - b1 has a perfect matching, since g is bipartite
                 # and matching covered, so some matching of h covers z.
                 raise VerificationError(
@@ -235,12 +214,16 @@ def _brace_obstruction(
                     f"{verts[a1]} - {verts[a2]} - {verts[b1]}",
                 )
             w = next(b for b in (cached[a1], cached[a2]) if b != b1 and match[b] == -1)
-            reached = _even_reach(adj, match, w, a1, a2)
+            reached = _augment(adj, match, w, dead)
             for b2 in b_side[k + 1:]:
-                if not reached[b2]:
-                    # No alternating path from the mate of b2 reaches w:
-                    # reversed, it would run from w to b2.
-                    hall = _even_reach(adj, match, match[b2], b1, b2)
+                if reached is None or not reached[b2]:
+                    m = match[b2]
+                    match[b2] = match[m] = -1
+                    hall = _augment(adj, match, m, dead + (b2,))
+                    # Only w is exposed outside `dead` in either search, so
+                    # an augmentation is an engine fault: refuse, not guess.
+                    if reached is None or hall is None:
+                        raise VerificationError("brace-test", f"{verts[w]} is on an augmenting path")
                     s = frozenset(verts[a] for a in a_side if hall[a])
                     return (verts[a1], verts[a2], verts[b1], verts[b2]), s
     return None

@@ -1,15 +1,17 @@
 """Maximum matching, matchability, and the matching-covered predicates.
 
 One engine sits behind every predicate: an augmenting-path search with
-blossom shrinking (Edmonds 1965).  The first query against a graph
-builds the vertex index map, the simple adjacency lists over indices
-and one maximum matching, and keeps them in the graph's per-graph memo.
-Each query "does g minus S have a perfect matching?" (``_pm_minus``,
-behind ``matchable_minus`` and ``has_pm_containing``) copies that cached
-matching, unmatches the mates of S and re-augments: one alternating-tree
-search from each exposed vertex left, so at most |S| searches when the
-cached matching is perfect.  It returns the perfect matching it
-completes.
+blossom shrinking (Edmonds 1965), ``_augment``, the package's only
+alternating search.  The first query against a graph builds the vertex
+index map, the simple adjacency lists over indices and one maximum
+matching, and keeps them in the graph's per-graph memo.  Each query
+"does g minus S have a perfect matching?" (``_pm_minus``, behind
+``matchable_minus`` and ``has_pm_containing``) copies that cached
+matching, unmatches the mates of S and re-augments from each exposed
+vertex left, so at most |S| searches when the cached matching is
+perfect; it returns the perfect matching it completes.  A search that
+fails returns its outer labels, off which the canonical partition and
+the brace test read Gallai-Edmonds sets.
 
 Those matchings make a per-graph pool (``_signatures``): the cached
 matching, then one perfect matching through each edge that no earlier
@@ -84,20 +86,24 @@ def _mark_path(base: list[int], match: list[int], p: list[int],
 
 def _augment(
     adj: tuple[tuple[int, ...], ...], match: list[int], root: int, dead: Collection[int]
-) -> bool:
+) -> list[bool] | None:
     """One alternating-tree search from the exposed vertex ``root``.
 
     Classic O(V^2)-per-search BFS that shrinks odd cycles (blossoms) via
     the ``base`` array and never enters a vertex of ``dead`` (these must
     be exposed).  On reaching an exposed vertex it augments ``match``
-    (the mate array, -1 for exposed vertices) in place and returns True.
+    (the mate array, -1 for exposed vertices) in place and returns None.
+    Otherwise it returns its outer labels (``match`` unchanged): the
+    vertices an even alternating path reaches from ``root``.  When no
+    other vertex outside ``dead`` is exposed, they are the Gallai-Edmonds
+    set D of the graph minus ``dead`` (Lovasz-Plummer 3.2).
     """
     for to in adj[root]:
         if match[to] == -1 and to not in dead:
             # An augmenting path of one edge: the search would find it first.
             match[root] = to
             match[to] = root
-            return True
+            return None
     n = len(adj)
     p = [-1] * n
     for v in dead:
@@ -134,10 +140,10 @@ def _augment(
                         match[prev] = to
                         match[to] = prev
                         to = after
-                    return True
+                    return None
                 used[to_mate] = True
                 queue.append(to_mate)
-    return False
+    return used
 
 
 @_memoized
@@ -207,7 +213,7 @@ def _pm_minus(g: MultiGraph, gone: frozenset[int]) -> list[int] | None:
     if -1 in cached:
         roots += [v for v, w in enumerate(cached) if w == -1 and v not in dead]
     for root in roots:
-        if match[root] == -1 and not _augment(adj, match, root, dead):
+        if match[root] == -1 and _augment(adj, match, root, dead) is not None:
             # By Edmonds, a vertex that no augmenting path reaches stays
             # exposed in some maximum matching, so g - S has no perfect one.
             return None

@@ -1,11 +1,11 @@
 """Barriers, the canonical partition, bicriticality, even 2-cuts, and
 vertex connectivity.  The partition, the even 2-cuts and the
-connectivity are memoized per graph.  The canonical partition shares
-its union-find (``_partition``) with the equivalence classes; the even
-2-cuts are read off those classes, so both need a matching covered
-graph.  Connectivity follows Even's scheme: at most (kappa+1)*n
-unit-capacity flows on one vertex-split array network, each capped at
-the least value found so far."""
+connectivity are memoized per graph.  The canonical partition takes one
+failed alternating search per part on the matching engine's cached
+perfect matching; the even 2-cuts are read off the equivalence classes,
+so both need a matching covered graph.  Connectivity follows Even's
+scheme: at most (kappa+1)*n unit-capacity flows on one vertex-split
+array network, each capped at the least value found so far."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from typing import Iterable
 
 from .dependence import equivalence_partition
 from .errors import DomainError, VerificationError
-from .matching import _require_mc, matchable_minus
-from .multigraph import Cut, MultiGraph, _memoized, _partition
+from .matching import _augment, _engine, _require_mc, matchable_minus
+from .multigraph import Cut, MultiGraph, _memoized
 
 
 def is_barrier(g: MultiGraph, vertex_set: Iterable[int]) -> bool:
@@ -29,30 +29,41 @@ def is_barrier(g: MultiGraph, vertex_set: Iterable[int]) -> bool:
 
 @_memoized
 def canonical_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
-    """The partition of V(g) into maximal barriers.
+    """The partition of V(g) into maximal barriers, sorted by their
+    smallest vertex.
 
-    Built from the pair relation "u ~ v iff u = v or g - u - v is not
-    matchable" (two vertices share a maximal barrier exactly when no
-    perfect matching separates them).  Every part is re-verified to be a
-    barrier, so an engine bug surfaces as a hard error rather than a
-    wrong partition.  Parts are sorted by their smallest vertex.
+    u and v share one exactly when g - u - v is not matchable, that is
+    when v is outside the Gallai-Edmonds set D(g - u).  For each u not
+    yet in a part, the cached perfect matching minus u's edge leaves
+    u's mate w the one exposed vertex of g - u, so one search from w
+    fails and labels D(g - u) outer; u's part is the rest.  Each part is
+    re-verified to be a barrier disjoint from the earlier ones, so an
+    engine bug surfaces as a hard error rather than a wrong partition.
     """
     _require_mc(g, "canonical partition")
-    parts = _partition(g.vertices, lambda u, v: not matchable_minus(g, (u, v)))
-    for part in parts:
-        if not is_barrier(g, part):
-            raise VerificationError(
-                "canonical-partition",
-                f"computed part {sorted(part)} is not a barrier",
-            )
-    return parts
+    _, adj, cached = _engine(g)
+    verts = g.vertices
+    parts: list[frozenset[int]] = []
+    done: set[int] = set()
+    for u, w in enumerate(cached):
+        if verts[u] in done:
+            continue
+        match = list(cached)
+        match[u] = match[w] = -1
+        outer = _augment(adj, match, w, (u,))
+        if outer is None:
+            raise VerificationError("canonical-partition", f"g - {verts[u]} augmented")
+        part = frozenset(verts[v] for v, even in enumerate(outer) if not even)
+        if part & done or not is_barrier(g, part):
+            raise VerificationError("canonical-partition", f"{sorted(part)} is no new barrier")
+        done |= part
+        parts.append(part)
+    return tuple(parts)
 
 
 def is_bicritical(g: MultiGraph) -> bool:
     """Is g - u - v matchable for every vertex pair?"""
-    return all(
-        matchable_minus(g, pair) for pair in combinations(g.vertices, 2)
-    )
+    return all(matchable_minus(g, pair) for pair in combinations(g.vertices, 2))
 
 
 def even_2cuts(g: MultiGraph) -> list[Cut]:
