@@ -7,7 +7,10 @@ earlier bodies.  ``pairwise_equivalence_partition``,
 ``pairwise_class_of`` and ``sweep_removable`` keep the dependence
 queries from before the witness signatures: an exact ``_depends`` test
 for every pair of edges, or against every other edge.
-``brute_removable_edges`` /
+``pairwise_canonical_partition`` keeps the canonical partition from
+before the Gallai-Edmonds searches: one ``matchable_minus`` query per
+vertex pair; ``brute_canonical_partition`` decides the same pairs by
+``brute_matchable_minus``.  ``brute_removable_edges`` /
 ``brute_removable_classes`` keep the earlier removability, which asked
 the matching engine whether each ``g - e`` and each ``g - R`` is
 matching covered; ``pm_removable`` decides the same question from the
@@ -241,6 +244,25 @@ def brute_matchable_minus(g: MultiGraph, removed) -> bool:
         return any(perfect(left - {u, w}) for w in adj[u] & left)
 
     return perfect(frozenset(g.vertices) - frozenset(removed))
+
+
+def pairwise_canonical_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
+    """The maximal barriers from the pair relation "u = v or g - u - v is
+    not matchable", one ``matchable_minus`` query per vertex pair."""
+    _require_mc(g, "canonical partition")
+    return _partition(g.vertices, lambda u, v: not matchable_minus(g, (u, v)))
+
+
+def brute_canonical_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
+    """The same pair relation decided by ``brute_matchable_minus``, with
+    each vertex's part collected directly (no union-find), sorted by
+    smallest vertex."""
+    together = {v: {v} for v in g.vertices}
+    for u, v in combinations(g.vertices, 2):
+        if not brute_matchable_minus(g, (u, v)):
+            together[u].add(v)
+            together[v].add(u)
+    return tuple(sorted({frozenset(s) for s in together.values()}, key=min))
 
 
 def brute_even_2cuts(g: MultiGraph) -> list:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from matchcover.cli import main
 from matchcover.generators import named_graph
+from matchcover.matching import is_admissible, is_matchable, is_matching_covered
 from matchcover.multigraph import MultiGraph, canonical_form, format_graph, parse_graph
 
 from conftest import big_brace_graph
@@ -93,6 +95,65 @@ def test_analyze_parse_error_line_number(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 1
     assert "line 2" in err
+
+
+def _unreadable(tmp_path: Path, kind: str) -> Path:
+    # A directory named like a graph file, or Latin-1 text.
+    path = tmp_path / f"{kind}.g"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes("p 2 1\ne 1 2\n# caf\u00e9\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+@pytest.mark.parametrize("command", ["analyze", "splice", "construct"])
+def test_unreadable_graph_file_is_an_input_error(tmp_path, capsys, command, kind):
+    path = str(_unreadable(tmp_path, kind))
+    argv = {
+        "analyze": ["analyze", path],
+        "splice": ["splice", "K4", "1", path, "1", "--out", str(tmp_path / "out")],
+        "construct": ["construct", "--p", "2", "--q", "2", "--brace", path,
+                      "--out", str(tmp_path / "out")],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and path in err
+    assert ("Is a directory" if kind == "directory" else "not UTF-8 text") in err
+
+
+def test_corpus_reports_unreadable_files_and_goes_on(tmp_path, capsys):
+    _unreadable(tmp_path, "directory")
+    _unreadable(tmp_path, "latin-1")
+    (tmp_path / "k4.g").write_text(format_graph(named_graph("K4")))
+    code, out, _ = run(capsys, "corpus", "--dir", str(tmp_path), "--check", "bounds")
+    assert code == 1
+    rows = out.splitlines()
+    assert rows[0].startswith("directory.g") and "FAIL  cannot read" in rows[0]
+    assert rows[1].startswith("k4.g") and "PASS" in rows[1]
+    assert rows[2].startswith("latin-1.g") and "FAIL" in rows[2]
+    assert rows[3] == "3 files, 2 failures"
+
+
+def test_not_matching_covered_witness_is_the_first_inadmissible_edge(capsys, tmp_path):
+    # Seeded even, connected, matchable graphs with inadmissible edges:
+    # the witness is the lowest edge id in no perfect matching.
+    rng = random.Random(5)
+    seen = 0
+    while seen < 6:
+        g = MultiGraph(8)
+        for u, v in rng.sample(list(itertools.combinations(range(1, 9), 2)), 10):
+            g = g.add_edge(u, v)[0]
+        if not g.is_connected or not is_matchable(g) or is_matching_covered(g):
+            continue
+        seen += 1
+        path = tmp_path / f"g{seen}.g"
+        path.write_text(format_graph(g))
+        code, out, _ = run(capsys, "analyze", str(path), "--json")
+        assert code == 2
+        first = min(e for e in g.edge_ids if not is_admissible(g, e))
+        assert json.loads(out)["witness"] == {"reason": "inadmissible edge", "edge": first}
 
 
 def test_analyze_deterministic_bytes(capsys):

@@ -31,8 +31,9 @@ from matchcover.dependence import (
     removable_edges,
 )
 from matchcover.errors import CapabilityError, DomainError, VerificationError
-from matchcover.generators import named_graph
+from matchcover.generators import build_high_kappa_epsilon, named_graph
 from matchcover.matching import (
+    _augment,
     _engine,
     _pm_minus,
     _signatures,
@@ -250,6 +251,30 @@ def test_brick_test_reads_bicriticality_off_the_canonical_partition(name):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", [name for name, _ in _CORPUS] + ["(3,3) final"])
+def test_canonical_partition_runs_one_search_per_part(name):
+    # One failed search from the mate of each part's first vertex replaces
+    # the pair queries (45 on the Petersen graph); the engine and the
+    # pool are built first, so every search counted is the partition's.
+    g = build_high_kappa_epsilon(3, 3).final if name == "(3,3) final" else dict(_CORPUS)[name]
+    fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+    assert is_matching_covered(fresh)
+    watched = {_augment.__code__: "_augment", _pm_minus.__code__: "_pm_minus"}
+    calls: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        parts = canonical_partition(fresh)
+    finally:
+        sys.setprofile(None)
+    assert calls["_pm_minus"] == 0
+    assert 1 <= calls["_augment"] <= len(parts)
+
+
 def _calls(code, fn, *args):
     # The arguments of every call into `code` while fn(*args) runs.
     calls = []
@@ -296,12 +321,35 @@ def test_two_separation_pass_refuses_a_graph_with_a_cut_vertex():
 
 def test_brace_test_refuses_a_failed_augmentation(monkeypatch):
     # In a bipartite matching covered graph every g - a - b is matchable,
-    # so the re-augmentation after deleting a1, a2, b1 cannot fail.
-    monkeypatch.setattr(matchcover.cuts, "_augment", lambda *args: False)
+    # so the re-augmentation after deleting a1, a2, b1 cannot fail.  The
+    # patched search fails everywhere and labels every vertex outer, so
+    # no b2 fails before a triple needs its re-augmentation.
+    monkeypatch.setattr(matchcover.cuts, "_augment", lambda adj, *args: [True] * len(adj))
     g = named_graph("K4,4")
     with pytest.raises(VerificationError) as info:
         _brace_obstruction(g, g.bipartition())
     assert info.value.check == "brace-test"
+
+
+def test_brace_test_refuses_a_hall_search_that_augments(monkeypatch):
+    # The Hall search runs from the mate of a failing b2 with w exposed;
+    # reaching w would mean w reaches b2, so an augmentation there is an
+    # engine fault and must not yield a Hall set.
+    hall_searches = []
+
+    def hall_augments(adj, match, root, dead):
+        labels = _augment(adj, match, root, dead)
+        if len(dead) == 4:  # a1, a2, b1 and b2
+            hall_searches.append(root)
+            return None
+        return labels
+
+    monkeypatch.setattr(matchcover.cuts, "_augment", hall_augments)
+    g = named_graph("C8")
+    with pytest.raises(VerificationError, match="on an augmenting path") as info:
+        _brace_obstruction(g, g.bipartition())
+    assert info.value.check == "brace-test"
+    assert len(hall_searches) == 1
 
 
 def _certificate_graphs() -> list[MultiGraph]:

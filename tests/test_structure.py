@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchcover import structure
-from matchcover.errors import DomainError
+from matchcover.errors import DomainError, VerificationError
 from matchcover.generators import build_high_kappa_epsilon, named_graph
-from matchcover.matching import enumerate_pms
+from matchcover.matching import _augment, enumerate_pms
 from matchcover.multigraph import MultiGraph
 from matchcover.structure import (
     canonical_partition,
@@ -18,11 +18,17 @@ from matchcover.structure import (
     vertex_connectivity,
 )
 
-from _oracles import brute_even_2cuts, brute_vertex_connectivity
+from _oracles import (
+    brute_canonical_partition,
+    brute_even_2cuts,
+    brute_vertex_connectivity,
+    pairwise_canonical_partition,
+)
 from conftest import (
     corpus_params,
     random_mc_graph,
     random_nonbipartite_mc_graph,
+    random_splice,
     sparse_mc_graphs,
 )
 
@@ -95,6 +101,90 @@ def test_canonical_partition_agrees_with_networkx_past_bitmask_limit(n):
                 together[v].add(u)
         parts = sorted({frozenset(c) for c in together.values()}, key=min)
         assert tuple(parts) == canonical_partition(g)
+
+
+def _blossom_graphs() -> list[tuple[str, MultiGraph]]:
+    # Graphs whose searches shrink many odd cycles: bricks (and the cube,
+    # prism4), nonbipartite splices with nontrivial barriers, and
+    # brick-brick splices.
+    names = ("K4", "K6", "petersen", "prism3", "prism4", "prism5", "W5", "W7",
+             "C6bar", "fig2b", "fig2c")
+    graphs = [(name, named_graph(name)) for name in names]
+    for n in (12, 16, 20):
+        graphs += [(f"sparse{n}-{i}", g) for i, g in enumerate(sparse_mc_graphs(n))
+                   if not g.is_bipartite]
+    rng = random.Random(13)
+    bricks = ("K4", "prism3", "C6bar", "W5", "petersen")
+    splices = []
+    while len(splices) < 8:
+        g = random_splice(rng, named_graph(rng.choice(bricks)), named_graph(rng.choice(bricks)))
+        if g is not None:
+            splices.append((f"brick-brick{len(splices)}", g))
+    return graphs + splices
+
+
+_BLOSSOM_GRAPHS = _blossom_graphs()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _BLOSSOM_GRAPHS])
+def test_canonical_partition_agrees_with_the_pair_queries_on_blossoms(name):
+    g = dict(_BLOSSOM_GRAPHS)[name]
+    parts = canonical_partition(g)
+    assert parts == pairwise_canonical_partition(g)
+    assert parts == brute_canonical_partition(g)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_canonical_partition_of_complete_bipartite_graphs(k):
+    g = named_graph(f"K{k},{k}")
+    parts = canonical_partition(g)
+    assert parts == pairwise_canonical_partition(g) == brute_canonical_partition(g)
+    assert len(parts) == 2 and all(len(p) == k for p in parts)
+
+
+def test_canonical_partition_agrees_with_the_pair_queries_on_the_33_final():
+    g = build_high_kappa_epsilon(3, 3).final
+    assert canonical_partition(g) == pairwise_canonical_partition(g)
+
+
+@pytest.mark.parametrize("g", corpus_params())
+def test_canonical_partition_agrees_with_the_pair_queries_on_the_corpus(g):
+    assert canonical_partition(g) == pairwise_canonical_partition(g)
+
+
+def test_canonical_partition_refuses_a_search_that_augments(monkeypatch):
+    # g - u has odd order, so the search from u's mate cannot augment.
+    monkeypatch.setattr(structure, "_augment", lambda *args: None)
+    with pytest.raises(VerificationError) as info:
+        canonical_partition(named_graph("C6"))
+    assert info.value.check == "canonical-partition"
+
+
+def test_canonical_partition_refuses_an_overlapping_part(monkeypatch):
+    # Every search answers with the first one's labels: the second part of
+    # C6 would repeat the barrier {1, 3, 5}.
+    first = []
+
+    def stale(adj, match, root, dead):
+        first.append(_augment(adj, match, root, dead))
+        return first[0]
+
+    monkeypatch.setattr(structure, "_augment", stale)
+    with pytest.raises(VerificationError, match=r"\[1, 3, 5\] is no new barrier") as info:
+        canonical_partition(named_graph("C6"))
+    assert info.value.check == "canonical-partition"
+    assert len(first) == 2
+
+
+def test_canonical_partition_refuses_a_part_that_is_no_barrier(monkeypatch):
+    # A search that labels only its root would make V - w u's part.
+    monkeypatch.setattr(
+        structure, "_augment",
+        lambda adj, match, root, dead: [v == root for v in range(len(adj))],
+    )
+    with pytest.raises(VerificationError) as info:
+        canonical_partition(named_graph("petersen"))
+    assert info.value.check == "canonical-partition"
 
 
 def test_is_bicritical():
