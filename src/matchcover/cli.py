@@ -5,9 +5,9 @@ graphs at a vertex pair), construct (run the high-connectivity /
 high-epsilon construction), corpus (drive a property suite over a
 directory of graph files).
 
-Exit codes: 0 success, 1 parse/domain errors, 2 analysis found the
-input wanting (not matching covered, or a verification failed), 3 the
-exact engines refused the instance size.
+Exit codes: 0 success, 1 parse/domain errors or an unusable --out
+path, 2 analysis found the input wanting (not matching covered, or a
+verification failed), 3 the exact engines refused the instance size.
 """
 
 from __future__ import annotations
@@ -559,10 +559,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except DomainError as exc:
+    except (ParseError, DomainError, OSError) as exc:
+        # OSError: an --out path that cannot be made a directory or written to
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except CapabilityError as exc:

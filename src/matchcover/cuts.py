@@ -40,7 +40,7 @@ from .matching import (
     is_matching_covered,
 )
 from .multigraph import CanonicalForm, Cut, MultiGraph, _memoized, canonical_form
-from .structure import canonical_partition, even_2cuts, vertex_connectivity
+from .structure import canonical_partition, even_2cuts, is_bicritical, vertex_connectivity
 
 EXHAUSTIVE_LIMIT = 24
 
@@ -252,9 +252,8 @@ def _bipartite_tight_cut(
 
 def _brick_certificate(g: MultiGraph) -> bool:
     # Edmonds-Lovasz-Pulleyblank (1982): a brick is 3-connected and
-    # bicritical, and a matching covered graph is bicritical exactly
-    # when every part of its memoized canonical partition is a singleton.
-    return vertex_connectivity(g) >= 3 and len(canonical_partition(g)) == g.n
+    # bicritical.
+    return vertex_connectivity(g) >= 3 and is_bicritical(g)
 
 
 def _odd_nontrivial_shores(

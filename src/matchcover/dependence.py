@@ -2,9 +2,9 @@
 removable edges/classes.
 
 An edge e depends on f when every perfect matching through e also uses
-f; operationally, e is inadmissible once f is deleted.  ``_depends`` is
-the one place that test is made; the memoized ``g - f`` it runs on is
-shared by every query.  Mutual dependence partitions the edge set;
+f.  ``_depends`` is the one place that test is made, on g's own
+matching engine: one failed alternating search reads a Gallai-Edmonds
+set (Lovasz-Plummer 3.2).  Mutual dependence partitions the edge set;
 epsilon is the largest class size.
 
 Most pairs are refuted without that test.  ``matching._signatures``
@@ -26,15 +26,34 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable
 
-from .errors import DomainError
-from .matching import _require_mc, _signatures, has_pm_containing
-from .multigraph import MultiGraph, _memoized, _partition
+from .errors import DomainError, VerificationError
+from .matching import _augment, _engine, _pm_minus, _require_mc, _signatures, has_pm_containing
+from .multigraph import MultiGraph, _memoized
 
 
 def _depends(g: MultiGraph, e: int, f: int) -> bool:
-    """e lies in no perfect matching of g - f: the one dependence test.
-    Every query about g - f shares its memoized graph and engine."""
-    return not has_pm_containing(g.delete_edge(f), (e,))
+    """Does every perfect matching through e use f?  A perfect matching
+    of h = g - ends(e) that misses f's pair, or may swap f for a twin,
+    refutes it.  Else it holds f = cd; without cd, d is the one exposed
+    vertex of h - c, the search from d fails and labels D(h - c) outer,
+    and an outer neighbour x != d of c gives a perfect matching of h
+    through cx, which avoids f."""
+    if e == f:
+        return True
+    a, b = g.endpoints(e)
+    match = _pm_minus(g, frozenset((a, b)))
+    if match is None:
+        return True  # e is in no perfect matching
+    index, adj, _ = _engine(g)
+    u, v = g.endpoints(f)
+    c, d = index[u], index[v]
+    if match[c] != d or len(g.edges_between(u, v)) > 1:
+        return False
+    match[c] = match[d] = -1
+    outer = _augment(adj, match, d, (index[a], index[b], c))
+    if outer is None:
+        raise VerificationError("dependence", f"g - ends({e}) - {u} augmented")
+    return not any(outer[x] for x in adj[c] if x != d)
 
 
 def _check_ids(g: MultiGraph, *edges: int) -> None:
@@ -83,21 +102,23 @@ def equivalence_partition(g: MultiGraph) -> EquivalencePartition:
     """The partition of E(g) into mutual-dependence classes, computed
     once per graph.
 
-    The edges are grouped by witness signature, and union-find joins
-    mutually dependent pairs inside each group only; pairs already
-    joined transitively are skipped.
+    The least edge e not yet placed opens a class, which takes every
+    unplaced edge that shares e's witness signature and is mutually
+    dependent with e.
     """
     _require_mc(g, "equivalence partition")
     sig = _signatures(g)
-    groups: dict[int, list[int]] = {}
-    for e in g.edge_ids:
-        groups.setdefault(sig[e], []).append(e)
-    classes = [
-        c
-        for group in groups.values()
-        for c in _partition(group, lambda e, f: _depends(g, e, f) and _depends(g, f, e))
-    ]
-    return EquivalencePartition(tuple(sorted(classes, key=min)))
+    classes = []
+    left = list(g.edge_ids)
+    while left:
+        e = left[0]
+        cls = frozenset(
+            f for f in left
+            if sig[f] == sig[e] and _depends(g, f, e) and _depends(g, e, f)
+        )
+        classes.append(cls)
+        left = [f for f in left if f not in cls]
+    return EquivalencePartition(tuple(classes))
 
 
 def class_of(g: MultiGraph, e: int) -> frozenset[int]:
@@ -141,12 +162,13 @@ def _removable(g: MultiGraph, r: frozenset[int]) -> bool:
     ``min(r)``.
     """
     e = min(r)
-    rest = g.delete_edge(e) if len(r) == 1 else g.delete_edges(r)
+    rest = g.delete_edges(r)
     sig = _signatures(g)
     # A pool matching that holds f but not e is a perfect matching of
-    # g - e through f, so f does not depend on e.
-    return rest.is_connected and not any(
-        _depends(g, f, e) for f in g.edge_ids if f not in r and not sig[f] & ~sig[e]
+    # g - r through f; only the other edges are asked of g - r's engine.
+    return rest.is_connected and all(
+        has_pm_containing(rest, (f,))
+        for f in g.edge_ids if f not in r and not sig[f] & ~sig[e]
     )
 
 

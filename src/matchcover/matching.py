@@ -10,8 +10,8 @@ matching, and keeps them in the graph's per-graph memo.  Each query
 matching, unmatches the mates of S and re-augments from each exposed
 vertex left, so at most |S| searches when the cached matching is
 perfect; it returns the perfect matching it completes.  A search that
-fails returns its outer labels, off which the canonical partition and
-the brace test read Gallai-Edmonds sets.
+fails returns its outer labels, off which the canonical partition, the
+dependence test and the brace test read Gallai-Edmonds sets.
 
 Those matchings make a per-graph pool (``_signatures``): the cached
 matching, then one perfect matching through each edge that no earlier

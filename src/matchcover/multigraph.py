@@ -13,8 +13,7 @@ The text format (used by the CLI) is::
 ``format_graph`` output parses and formats back to the same bytes.
 
 Derived results that depend only on the graph are memoized on the graph
-itself (``_memoized``, and ``delete_edge`` for each ``g - e``);
-immutability means they never go stale.
+itself (``_memoized``); immutability means they never go stale.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import dataclasses
 import hashlib
 from collections import deque
 from functools import cached_property, wraps
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .errors import CapabilityError, DomainError, ParseError
 
@@ -34,8 +33,8 @@ _T = TypeVar("_T")
 
 def _memoized(fn: Callable[["MultiGraph"], _T]) -> Callable[["MultiGraph"], _T]:
     """Cache ``fn(g)`` in ``g._memo``, keyed by ``fn``; the one per-graph
-    cache, which also holds each ``g - e`` (keyed ``("delete_edge", e)``).
-    A call that raises caches nothing, so it raises again."""
+    cache, holding only values computed from ``g`` itself.  A call that
+    raises caches nothing, so it raises again."""
 
     @wraps(fn)
     def wrapper(g: "MultiGraph") -> _T:
@@ -55,23 +54,6 @@ def _find(parent: dict[_T, _T] | list[int], v: _T) -> _T:
         parent[v] = parent[parent[v]]
         v = parent[v]
     return v
-
-
-def _partition(
-    items: Sequence[_T], related: Callable[[_T, _T], bool]
-) -> tuple[frozenset[_T], ...]:
-    """The classes of the equivalence relation generated by ``related``,
-    sorted by their least item.  Union-find over the item pairs in order;
-    a pair already joined is not tested."""
-    parent = {x: x for x in items}
-    for i, x in enumerate(items):
-        for y in items[i + 1:]:
-            if _find(parent, x) != _find(parent, y) and related(x, y):
-                parent[_find(parent, y)] = _find(parent, x)
-    classes: dict[_T, set[_T]] = {}
-    for x in items:
-        classes.setdefault(_find(parent, x), set()).add(x)
-    return tuple(sorted((frozenset(c) for c in classes.values()), key=min))
 
 
 class MultiGraph:
@@ -173,7 +155,7 @@ class MultiGraph:
 
     @property
     def edge_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._endpoints))
+        return tuple(self._endpoints)
 
     def has_vertex(self, v: int) -> bool:
         return v in self._vset
@@ -214,8 +196,7 @@ class MultiGraph:
         return tuple(e for e in self.incident(pair[0]) if self._endpoints[e] == pair)
 
     def edge_items(self) -> Iterator[tuple[int, tuple[int, int]]]:
-        for e in sorted(self._endpoints):
-            yield e, self._endpoints[e]
+        yield from self._endpoints.items()
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m})"
@@ -253,14 +234,7 @@ class MultiGraph:
         )
 
     def delete_edge(self, e: int) -> "MultiGraph":
-        """``g - e``, built once per graph and edge, so every query about
-        it shares one instance and that instance's memo."""
-        key = ("delete_edge", e)
-        try:
-            return self._memo[key]
-        except KeyError:
-            minus = self._memo[key] = self.delete_edges((e,))
-            return minus
+        return self.delete_edges((e,))
 
     def delete_vertices(self, vs: Iterable[int]) -> "MultiGraph":
         drop = set(vs)
@@ -328,8 +302,7 @@ class MultiGraph:
     def underlying_simple(self) -> "MultiGraph":
         """One edge per adjacent vertex pair; the lowest id is retained."""
         chosen: dict[tuple[int, int], int] = {}
-        for e in sorted(self._endpoints):
-            pair = self._endpoints[e]
+        for e, pair in self._endpoints.items():
             chosen.setdefault(pair, e)
         endpoints = {e: pair for pair, e in chosen.items()}
         return MultiGraph.with_ids(

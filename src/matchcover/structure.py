@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .dependence import equivalence_partition
 from .errors import DomainError, VerificationError
-from .matching import _augment, _engine, _require_mc, matchable_minus
+from .matching import _augment, _engine, _require_mc, is_matching_covered
 from .multigraph import Cut, MultiGraph, _memoized
 
 
@@ -62,8 +62,9 @@ def canonical_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
 
 
 def is_bicritical(g: MultiGraph) -> bool:
-    """Is g - u - v matchable for every vertex pair?"""
-    return all(matchable_minus(g, pair) for pair in combinations(g.vertices, 2))
+    """Is g - u - v matchable for every vertex pair?  Past order 2 that
+    needs g matching covered with every canonical part a singleton."""
+    return g.n <= 2 or (is_matching_covered(g) and len(canonical_partition(g)) == g.n)
 
 
 def even_2cuts(g: MultiGraph) -> list[Cut]:

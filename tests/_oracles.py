@@ -3,14 +3,17 @@
 Everything here is deliberately naive: straight recursion and full
 enumeration, no shared state with the library beyond the MultiGraph
 accessors. Keep it that way.  The exceptions keep the library's
-earlier bodies.  ``pairwise_equivalence_partition``,
+earlier bodies.  ``deletion_depends`` keeps the earlier dependence
+test, which built the graph ``g - f`` and its own matching engine, and
+``_partition`` the earlier union-find.  ``pairwise_equivalence_partition``,
 ``pairwise_class_of`` and ``sweep_removable`` keep the dependence
-queries from before the witness signatures: an exact ``_depends`` test
-for every pair of edges, or against every other edge.
+queries from before the witness signatures: a ``deletion_depends``
+test for every pair of edges, or against every other edge.
 ``pairwise_canonical_partition`` keeps the canonical partition from
 before the Gallai-Edmonds searches: one ``matchable_minus`` query per
 vertex pair; ``brute_canonical_partition`` decides the same pairs by
-``brute_matchable_minus``.  ``brute_removable_edges`` /
+``brute_matchable_minus``, and ``pairwise_is_bicritical`` asks the
+same query of every pair.  ``brute_removable_edges`` /
 ``brute_removable_classes`` keep the earlier removability, which asked
 the matching engine whether each ``g - e`` and each ``g - R`` is
 matching covered; ``pm_removable`` decides the same question from the
@@ -27,20 +30,20 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from matchcover.dependence import (
-    EquivalencePartition,
-    _check_ids,
-    _depends,
-    equivalence_partition,
-)
+from typing import Callable, Sequence, TypeVar
+
+from matchcover.dependence import EquivalencePartition, _check_ids, equivalence_partition
 from matchcover.errors import CapabilityError, DomainError
 from matchcover.matching import (
     _require_mc,
+    has_pm_containing,
     is_matching_covered,
     matchable_minus,
     maximum_matching,
 )
-from matchcover.multigraph import CanonicalForm, Cut, MultiGraph, _partition
+from matchcover.multigraph import CanonicalForm, Cut, MultiGraph, _find
+
+_T = TypeVar("_T")
 
 
 def brute_max_matching(g: MultiGraph) -> int:
@@ -123,30 +126,51 @@ def incidence_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
     return tuple(sorted((frozenset(s) for s in groups.values()), key=min))
 
 
+def deletion_depends(g: MultiGraph, e: int, f: int) -> bool:
+    """e lies in no perfect matching of g - f, asked of a new graph."""
+    return not has_pm_containing(g.delete_edges((f,)), (e,))
+
+
+def _mutual(g: MultiGraph, e: int, f: int) -> bool:
+    return deletion_depends(g, e, f) and deletion_depends(g, f, e)
+
+
+def _partition(
+    items: Sequence[_T], related: Callable[[_T, _T], bool]
+) -> tuple[frozenset[_T], ...]:
+    """The classes of the equivalence relation generated by ``related``,
+    sorted by their least item.  Union-find over the item pairs in order;
+    a pair already joined is not tested."""
+    parent = {x: x for x in items}
+    for i, x in enumerate(items):
+        for y in items[i + 1:]:
+            if _find(parent, x) != _find(parent, y) and related(x, y):
+                parent[_find(parent, y)] = _find(parent, x)
+    classes: dict[_T, set[_T]] = {}
+    for x in items:
+        classes.setdefault(_find(parent, x), set()).add(x)
+    return tuple(sorted((frozenset(c) for c in classes.values()), key=min))
+
+
 def pairwise_equivalence_partition(g: MultiGraph) -> EquivalencePartition:
     """The partition of E(g) into mutual-dependence classes, by O(m^2)
     pairwise tests joined by union-find."""
     _require_mc(g, "equivalence partition")
-    return EquivalencePartition(
-        _partition(g.edge_ids, lambda e, f: _depends(g, e, f) and _depends(g, f, e))
-    )
+    return EquivalencePartition(_partition(g.edge_ids, lambda e, f: _mutual(g, e, f)))
 
 
 def pairwise_class_of(g: MultiGraph, e: int) -> frozenset[int]:
     """The mutual-dependence class containing e, by m pair tests."""
     _check_ids(g, e)
-    return frozenset(
-        f for f in g.edge_ids if _depends(g, f, e) and _depends(g, e, f)
-    )
+    return frozenset(f for f in g.edge_ids if _mutual(g, f, e))
 
 
 def sweep_removable(g: MultiGraph, r: frozenset[int]) -> bool:
     """Is g - r matching covered, for r one edge or one class?  No edge
     outside r may depend on ``min(r)``; every one of them is tested."""
     e = min(r)
-    rest = g.delete_edge(e) if len(r) == 1 else g.delete_edges(r)
-    return rest.is_connected and not any(
-        _depends(g, f, e) for f in g.edge_ids if f not in r
+    return g.delete_edges(r).is_connected and not any(
+        deletion_depends(g, f, e) for f in g.edge_ids if f not in r
     )
 
 
@@ -251,6 +275,12 @@ def pairwise_canonical_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
     not matchable", one ``matchable_minus`` query per vertex pair."""
     _require_mc(g, "canonical partition")
     return _partition(g.vertices, lambda u, v: not matchable_minus(g, (u, v)))
+
+
+def pairwise_is_bicritical(g: MultiGraph) -> bool:
+    """Is g - u - v matchable for every vertex pair?  One
+    ``matchable_minus`` query per pair."""
+    return all(matchable_minus(g, pair) for pair in combinations(g.vertices, 2))
 
 
 def brute_canonical_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:

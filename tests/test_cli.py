@@ -224,6 +224,21 @@ def test_construct_and_verify(tmp_path, capsys):
     assert stage.n == trace["finalOrder"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("splice", "K4", "1", "K4", "1"), ("construct", "--p", "2", "--q", "2")],
+    ids=["splice", "construct"],
+)
+def test_out_naming_a_plain_file_is_an_input_error(tmp_path, capsys, argv):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code, out, err = run(capsys, *argv, "--out", str(afile))
+    assert code == 1
+    assert err.startswith("error: ") and "File exists" in err
+    assert "Traceback" not in err and out == ""
+    assert afile.read_text() == ""
+
+
 def test_construct_rejects_p_below_two(capsys):
     code, _, err = run(capsys, "construct", "--p", "1", "--q", "2")
     assert code == 1

@@ -28,7 +28,7 @@ from matchcover.errors import CapabilityError, DomainError
 from matchcover.generators import MARKED_CUT_SHORES, named_graph
 from matchcover.matching import is_matching_covered
 from matchcover.multigraph import MultiGraph, canonical_form
-from matchcover.structure import is_bicritical, vertex_connectivity
+from matchcover.structure import vertex_connectivity
 
 from _oracles import (
     all_pms,
@@ -38,6 +38,7 @@ from _oracles import (
     brute_two_separation_candidates,
     direct_is_tight,
     odd_cuts_with_small_shore,
+    pairwise_is_bicritical,
 )
 from conftest import (
     _CORPUS,
@@ -366,11 +367,11 @@ def _certificate_inputs() -> list[MultiGraph]:
 
 
 def test_brick_certificate_matches_the_pair_scan():
-    # Bicriticality off the canonical partition agrees with the public
-    # pair scan on both kinds of input.
+    # The brick certificate agrees with 3-connectivity and the pair scan
+    # on both kinds of input.
     bricks = not_bicritical = 0
     for g in _certificate_inputs():
-        bicritical = is_bicritical(g)
+        bicritical = pairwise_is_bicritical(g)
         expected = vertex_connectivity(g) >= 3 and bicritical
         assert _brick_certificate(g) == expected, g
         bricks += expected

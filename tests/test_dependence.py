@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchcover.dependence
 from matchcover.dependence import (
     _removable,
     class_of,
@@ -16,15 +17,17 @@ from matchcover.dependence import (
     removable_classes,
     removable_edges,
 )
-from matchcover.errors import DomainError
+from matchcover.errors import DomainError, VerificationError
 from matchcover.generators import labeled_edge, named_graph
 from matchcover.matching import is_admissible, is_matching_covered
 from matchcover.multigraph import MultiGraph
 from matchcover.structure import canonical_partition, even_2cuts
 
 from _oracles import (
+    all_pms,
     brute_removable_classes,
     brute_removable_edges,
+    deletion_depends,
     incidence_partition,
     pairwise_class_of,
     pairwise_equivalence_partition,
@@ -32,6 +35,7 @@ from _oracles import (
     sweep_removable,
 )
 from conftest import (
+    _CORPUS,
     corpus_params,
     random_mc_graph,
     random_nonbipartite_mc_graph,
@@ -308,3 +312,64 @@ def test_class_of_agrees_with_pairwise_tests_off_matching_covered_graphs(g):
         assert class_of(g, e) == pairwise_class_of(g, e)
         if e in inadmissible:
             assert class_of(g, e) == inadmissible
+
+
+def _dependence_graphs() -> list[MultiGraph]:
+    # Matching covered graphs with and without parallel edges, graphs
+    # with inadmissible edges, one with no perfect matching, one of odd
+    # order, and seeded random graphs with one edge doubled.
+    c6_chord = named_graph("C6").add_edge(1, 3)[0]
+    k4_triple = named_graph("K4").add_edge(1, 2)[0].add_edge(1, 2)[0]
+    graphs = [dict(_CORPUS)[name] for name in ("C6bar", "K4+parallel", "C6bar+parallel", "prism3")]
+    graphs += [
+        c6_chord,
+        k4_triple,
+        MultiGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]),
+        MultiGraph(4, [(1, 2), (1, 3), (1, 4)]),
+        MultiGraph(3, [(1, 2), (2, 3), (1, 3)]),
+        MultiGraph(4, [(1, 2), (3, 4)]),
+        MultiGraph(6, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (3, 4)]),
+    ]
+    rng = random.Random(14_2019)
+    for i in range(8):
+        make = random_mc_graph if i % 2 else random_nonbipartite_mc_graph
+        g = make(rng, rng.choice((6, 8, 10)), rng.randrange(2, 8))
+        graphs.append(g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0])
+    return graphs
+
+
+def test_depends_on_agrees_with_the_definition_on_every_ordered_pair():
+    # Every ordered pair, against "every perfect matching through e uses
+    # f" by enumeration and against the deletion test it replaces.
+    kinds = dict.fromkeys(
+        ("e = f", "adjacent", "parallel", "f has a twin", "inadmissible e", "not mc"), 0
+    )
+    for g in _dependence_graphs():
+        pms = all_pms(g)
+        mc = is_matching_covered(g)
+        for e in g.edge_ids:
+            admissible = any(e in pm for pm in pms)
+            for f in g.edge_ids:
+                expected = all(f in pm for pm in pms if e in pm)
+                assert depends_on(g, e, f) == expected == deletion_depends(g, e, f), (g, e, f)
+                assert mutually_dependent(g, e, f) == (expected and depends_on(g, f, e))
+                ends, f_ends = g.endpoints(e), g.endpoints(f)
+                kinds["e = f"] += e == f
+                kinds["adjacent"] += len(set(ends) & set(f_ends)) == 1
+                kinds["parallel"] += e != f and ends == f_ends
+                kinds["f has a twin"] += ends != f_ends and len(g.edges_between(*f_ends)) > 1
+                kinds["inadmissible e"] += not admissible
+                kinds["not mc"] += not mc
+    assert all(kinds.values()), kinds
+
+
+def test_dependence_refuses_a_search_that_augments(monkeypatch):
+    # With f's edge taken out of a perfect matching of g - ends(e), the
+    # far end of f is the one exposed vertex left, so the search from
+    # it cannot augment; if it does, the engine is at fault.
+    monkeypatch.setattr(matchcover.dependence, "_augment", lambda *args: None)
+    g = named_graph("C6")  # edges 1, 3, 5 form one perfect matching
+    with pytest.raises(VerificationError) as info:
+        depends_on(g, 1, 3)
+    assert info.value.check == "dependence"
+    assert not depends_on(g, 1, 2)  # refuted before any search

@@ -26,7 +26,10 @@ from matchcover.cuts import (
 )
 from matchcover.dependence import (
     class_of,
+    depends_on,
     equivalence_partition,
+    is_removable_edge,
+    mutually_dependent,
     removable_classes,
     removable_edges,
 )
@@ -113,29 +116,64 @@ def test_build_analysis_computes_each_invariant_once():
     assert len(engine_runs) > 1 and set(engine_runs.values()) == {1}
 
 
-def test_dependence_queries_share_each_edge_deletion():
-    # The partition, every class_of and removable_edges all ask about the
-    # graphs g - e; each of those must build its matching engine once.
-    g = named_graph("prism4")
-    engine_body = _engine.__wrapped__.__code__
-    runs: Counter = Counter()
+def _graph_builds(fn):
+    # The graph of every matching engine built, and the number of graphs
+    # constructed, while fn() runs.
+    engines, graphs = [], []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is engine_body:
-            h = frame.f_locals["g"]
-            if h.vertices == g.vertices and h.m == g.m - 1:
-                runs[frozenset(h.edge_ids)] += 1
+        if event != "call":
+            return
+        if frame.f_code is _engine.__wrapped__.__code__:
+            engines.append(frame.f_locals["g"])
+        elif frame.f_code is MultiGraph._init_parts.__code__:
+            graphs.append(frame.f_locals["self"])
 
     sys.setprofile(profile)
     try:
-        classes = equivalence_partition(g)
-        for e in g.edge_ids:
-            assert class_of(g, e) == classes.class_of(e)
-        removable_edges(g)
+        fn()
     finally:
         sys.setprofile(None)
-    assert len(runs) == g.m
-    assert set(runs.values()) == {1}
+    return engines, len(graphs)
+
+
+@pytest.mark.parametrize("name", ["prism4", "C6bar", "K4+parallel", "fig2c", "splice5"])
+def test_dependence_queries_build_no_engine_but_gs(name):
+    # The partition, every class_of and every ordered depends_on and
+    # mutually_dependent pair run on g's own engine: no graph g - f is
+    # built, and no engine for anything but g.
+    g = dict(_CORPUS)[name]
+    fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+
+    def run():
+        classes = equivalence_partition(fresh)
+        for e in fresh.edge_ids:
+            assert class_of(fresh, e) == classes.class_of(e)
+            for f in fresh.edge_ids:
+                assert mutually_dependent(fresh, e, f) == (f in classes.class_of(e))
+                depends_on(fresh, e, f)
+
+    engines, graphs = _graph_builds(run)
+    assert engines == [fresh] and graphs == 0
+
+
+@pytest.mark.parametrize("name", ["prism4", "C6bar", "K4,4", "fig2b", "C6bar+parallel"])
+def test_removability_builds_at_most_one_engine_per_class(name):
+    # Each class R whose candidates the pool leaves open is asked of one
+    # engine, on g - R; g's own engine and pool are built beforehand.
+    g = dict(_CORPUS)[name]
+    fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+    classes = equivalence_partition(fresh).classes
+
+    def run():
+        removable_edges(fresh)
+        removable_classes(fresh)
+
+    engines, _ = _graph_builds(run)
+    asked = Counter(frozenset(h.edge_ids) for h in engines)
+    assert all(h.vertices == fresh.vertices for h in engines)
+    assert set(asked) <= {frozenset(fresh.edge_ids) - c for c in classes}
+    assert set(asked.values()) <= {1}
 
 
 def test_signature_pool_is_built_once_and_shared():
@@ -186,38 +224,6 @@ def test_removable_classes_reuse_the_removable_edges_pass():
         sys.setprofile(None)
     assert len(classes) == 3
     assert calls == []
-
-
-def test_removability_builds_no_engine_for_a_class_deletion(monkeypatch):
-    # Every g - R that delete_edges builds outside the memoized
-    # delete_edge stays without a matching engine during an analysis.
-    deleted, memoized, engines = [], [], []
-    delete_edges, delete_edge = MultiGraph.delete_edges, MultiGraph.delete_edge
-
-    def spy_edges(self, ids):
-        deleted.append(delete_edges(self, ids))
-        return deleted[-1]
-
-    def spy_edge(self, e):
-        memoized.append(delete_edge(self, e))
-        return memoized[-1]
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is _engine.__wrapped__.__code__:
-            engines.append(frame.f_locals["g"])
-
-    monkeypatch.setattr(MultiGraph, "delete_edges", spy_edges)
-    monkeypatch.setattr(MultiGraph, "delete_edge", spy_edge)
-    g = named_graph("C6bar")
-    sys.setprofile(profile)
-    try:
-        report, code = build_analysis(g, "C6bar", "", decompose=True)
-    finally:
-        sys.setprofile(None)
-    assert code == 0 and report["removableClasses"] == [[1, 4], [2, 5], [3, 6]]
-    class_deletions = {id(h) for h in deleted} - {id(h) for h in memoized}
-    assert class_deletions
-    assert [h for h in engines if id(h) in class_deletions] == []
 
 
 def test_unreachable_cut_phase_raises(monkeypatch):

@@ -23,8 +23,10 @@ from _oracles import (
     brute_even_2cuts,
     brute_vertex_connectivity,
     pairwise_canonical_partition,
+    pairwise_is_bicritical,
 )
 from conftest import (
+    _CORPUS,
     corpus_params,
     random_mc_graph,
     random_nonbipartite_mc_graph,
@@ -194,6 +196,39 @@ def test_is_bicritical():
     assert not is_bicritical(named_graph("C6"))
     assert not is_bicritical(named_graph("K3,3"))  # bipartite, never bicritical
     assert not is_bicritical(named_graph("fig2c"))
+
+
+def _bicritical_inputs() -> list[MultiGraph]:
+    # Every order up to 3, graphs that are not matching covered (one
+    # disconnected, one with an inadmissible edge, one with no perfect
+    # matching), the corpus, and seeded graphs, half nonbipartite.
+    graphs = [
+        MultiGraph(0),
+        MultiGraph(1),
+        MultiGraph(2),
+        MultiGraph(2, [(1, 2)]),
+        MultiGraph(2, [(1, 2), (1, 2)]),
+        MultiGraph(3, [(1, 2), (2, 3)]),
+        MultiGraph(3, [(1, 2), (2, 3), (1, 3)]),
+        MultiGraph(4, [(1, 2), (3, 4)]),
+        MultiGraph(8, [(u, v) for k in (0, 4) for u, v in combinations(range(k + 1, k + 5), 2)]),
+        named_graph("C6").add_edge(1, 3)[0],
+        MultiGraph(4, [(1, 2), (1, 3), (1, 4)]),
+    ]
+    graphs += [g for _, g in _CORPUS]
+    rng = random.Random(14)
+    for i in range(40):
+        make = random_mc_graph if i % 2 else random_nonbipartite_mc_graph
+        graphs.append(make(rng, rng.choice((6, 8, 10)), rng.randrange(12)))
+    return graphs
+
+
+def test_is_bicritical_agrees_with_the_pair_scan():
+    bicritical = 0
+    for g in _bicritical_inputs():
+        assert is_bicritical(g) == pairwise_is_bicritical(g), g
+        bicritical += is_bicritical(g)
+    assert bicritical >= 20
 
 
 def test_even_2cuts_cycle():
