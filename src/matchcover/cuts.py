@@ -155,7 +155,7 @@ def _two_separation_candidates(g: MultiGraph) -> list[Cut]:
     seen: set[frozenset[int]] = set()
     n = g.n
     verts = g.vertices
-    adj = _engine(g)[1]
+    adj = g._adjacency()[1]
     for i, u in enumerate(verts):
         reached, cut_vertex = _articulation_points(adj, i)
         if reached != n - 1:
@@ -392,13 +392,8 @@ class DecompositionResult:
 
 
 def _is_c4_up_to_multiplicity(g: MultiGraph) -> bool:
-    simple = g.underlying_simple()
-    return (
-        simple.n == 4
-        and simple.m == 4
-        and all(simple.degree(v) == 2 for v in simple.vertices)
-        and simple.is_connected
-    )
+    # Up to multiplicity: the adjacency rows count distinct neighbours.
+    return g.n == 4 and all(len(row) == 2 for row in g._adjacency()[1]) and g.is_connected
 
 
 def _decompose(

@@ -250,7 +250,7 @@ def build_high_kappa_epsilon(
     a_side = parts[0] if a in parts[0] else parts[1]
     b_side = h._vset - a_side
     hv = h.vertices
-    index = {v: i for i, v in enumerate(hv)}
+    index = h._adjacency()[0]
     n_h = h.n
 
     def cp(j: int, v: int) -> int:  # vertex of copy j (1-based)

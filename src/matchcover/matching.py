@@ -2,9 +2,10 @@
 
 One engine sits behind every predicate: an augmenting-path search with
 blossom shrinking (Edmonds 1965), ``_augment``, the package's only
-alternating search.  The first query against a graph builds the vertex
-index map, the simple adjacency lists over indices and one maximum
-matching, and keeps them in the graph's per-graph memo.  Each query
+alternating search.  It runs on the graph's one index adjacency
+(``MultiGraph._adjacency``: the vertex index map and the simple
+adjacency lists over indices); the first query against a graph builds
+one maximum matching on it and keeps that in the graph's memo.  Each query
 "does g minus S have a perfect matching?" (``_pm_minus``, behind
 ``matchable_minus`` and ``has_pm_containing``) copies that cached
 matching, unmatches the mates of S and re-augments from each exposed
@@ -21,7 +22,7 @@ nonzero, which is how ``is_matching_covered`` reads it, and the
 dependence module refutes dependence between edges whose signatures
 differ.
 
-Parallel edges are collapsed for the engine (a matching never needs two
+Parallel edges collapse in that adjacency (a matching never needs two
 parallel edges) and answers are lifted back to edge ids.  The
 signatures and the matching-covered verdict are memoized per graph the
 same way.
@@ -148,16 +149,10 @@ def _augment(
 
 @_memoized
 def _engine(g: MultiGraph) -> tuple[dict[int, int], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The vertex index map, the simple adjacency lists over indices, and
-    one maximum matching as a mate tuple (-1 for exposed vertices) that
-    queries copy and never mutate."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    neighbors: list[set[int]] = [set() for _ in g.vertices]
-    for _, (u, v) in g.edge_items():
-        neighbors[index[u]].add(index[v])
-        neighbors[index[v]].add(index[u])
-    # Vertices are sorted, so each list is in the order of g.neighbors.
-    adj = tuple(tuple(sorted(nbrs)) for nbrs in neighbors)
+    """The graph's ``_adjacency`` (the vertex index map and the simple
+    adjacency lists over indices) and one maximum matching as a mate
+    tuple (-1 for exposed vertices) that queries copy and never mutate."""
+    index, adj = g._adjacency()
     match = [-1] * g.n
     # Greedy seed matching: cheap, cuts the number of searches.
     for v, nbrs in enumerate(adj):

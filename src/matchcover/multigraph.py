@@ -13,16 +13,19 @@ The text format (used by the CLI) is::
 ``format_graph`` output parses and formats back to the same bytes.
 
 Derived results that depend only on the graph are memoized on the graph
-itself (``_memoized``); immutability means they never go stale.
+itself (``_memoized``); immutability means they never go stale.  One of
+them, ``_adjacency``, is the graph's index adjacency: the vertex index
+map and the sorted simple neighbour lists over indices.  Components,
+the bipartition, the matching engine, connectivity, the cut scans and
+canonical forms all traverse it; nothing else builds one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from collections import deque
 from functools import cached_property, wraps
-from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .errors import CapabilityError, DomainError, ParseError
 
@@ -71,13 +74,12 @@ class MultiGraph:
         vertices: Iterable[int] | int,
         edges: Iterable[tuple[int, int]] = (),
         *,
-        vertex_labels: Mapping[int, str] | None = None,
         edge_labels: Mapping[int, str] | None = None,
     ):
         if isinstance(vertices, int):
             vertices = range(1, vertices + 1)
         endpoints = dict(enumerate(edges, start=1))
-        self._init_parts(list(vertices), endpoints, vertex_labels, edge_labels)
+        self._init_parts(list(vertices), endpoints, edge_labels)
 
     @classmethod
     def with_ids(
@@ -87,12 +89,11 @@ class MultiGraph:
         *,
         next_vertex_id: int | None = None,
         next_edge_id: int | None = None,
-        vertex_labels: Mapping[int, str] | None = None,
         edge_labels: Mapping[int, str] | None = None,
     ) -> "MultiGraph":
         g = cls.__new__(cls)
         g._init_parts(
-            list(vertices), dict(endpoints), vertex_labels, edge_labels,
+            list(vertices), dict(endpoints), edge_labels,
             next_vertex_id=next_vertex_id, next_edge_id=next_edge_id,
         )
         return g
@@ -101,7 +102,6 @@ class MultiGraph:
         self,
         vertex_list: list[int],
         endpoints: dict[int, tuple[int, int]],
-        vertex_labels: Mapping[int, str] | None,
         edge_labels: Mapping[int, str] | None,
         *,
         next_vertex_id: int | None = None,
@@ -131,9 +131,6 @@ class MultiGraph:
             [next_vertex_id or 1] + [v + 1 for v in vertex_list]
         )
         self._next_edge: int = max([next_edge_id or 1] + [e + 1 for e in norm])
-        self.vertex_labels: dict[int, str] = {
-            v: s for v, s in (vertex_labels or {}).items() if v in vset
-        }
         self.edge_labels: dict[int, str] = {
             e: s for e, s in (edge_labels or {}).items() if e in norm
         }
@@ -203,6 +200,18 @@ class MultiGraph:
 
     # -- derived graphs --------------------------------------------------
 
+    def _derived(
+        self, vertices: Iterable[int], endpoints: Mapping[int, tuple[int, int]],
+        edge_labels: Mapping[int, str] | None = None,
+    ) -> "MultiGraph":
+        # Ids stay stable: new ones start past every id this graph issued,
+        # and surviving edges keep their labels.
+        return MultiGraph.with_ids(
+            vertices, endpoints,
+            next_vertex_id=self._next_vertex, next_edge_id=self._next_edge,
+            edge_labels=self.edge_labels if edge_labels is None else edge_labels,
+        )
+
     def add_edge(self, u: int, v: int, *, label: str | None = None) -> tuple["MultiGraph", int]:
         if u == v:
             raise DomainError(f"loop at vertex {u} not allowed")
@@ -214,12 +223,7 @@ class MultiGraph:
         elabels = dict(self.edge_labels)
         if label is not None:
             elabels[e] = label
-        g = MultiGraph.with_ids(
-            self._vertices, endpoints,
-            next_vertex_id=self._next_vertex, next_edge_id=e + 1,
-            vertex_labels=self.vertex_labels, edge_labels=elabels,
-        )
-        return g, e
+        return self._derived(self._vertices, endpoints, elabels), e
 
     def delete_edges(self, ids: Iterable[int]) -> "MultiGraph":
         drop = set(ids)
@@ -227,11 +231,7 @@ class MultiGraph:
             if e not in self._endpoints:
                 raise DomainError(f"unknown edge id {e}")
         endpoints = {e: uv for e, uv in self._endpoints.items() if e not in drop}
-        return MultiGraph.with_ids(
-            self._vertices, endpoints,
-            next_vertex_id=self._next_vertex, next_edge_id=self._next_edge,
-            vertex_labels=self.vertex_labels, edge_labels=self.edge_labels,
-        )
+        return self._derived(self._vertices, endpoints)
 
     def delete_edge(self, e: int) -> "MultiGraph":
         return self.delete_edges((e,))
@@ -246,11 +246,7 @@ class MultiGraph:
             e: (u, w) for e, (u, w) in self._endpoints.items()
             if u not in drop and w not in drop
         }
-        return MultiGraph.with_ids(
-            keep, endpoints,
-            next_vertex_id=self._next_vertex, next_edge_id=self._next_edge,
-            vertex_labels=self.vertex_labels, edge_labels=self.edge_labels,
-        )
+        return self._derived(keep, endpoints)
 
     def boundary(self, shore: Iterable[int]) -> frozenset[int]:
         """Edge ids with exactly one end in ``shore``."""
@@ -290,14 +286,7 @@ class MultiGraph:
                 endpoints[e] = (u, x)
             else:
                 endpoints[e] = (u, v)
-        return (
-            MultiGraph.with_ids(
-                keep + [x], endpoints,
-                next_vertex_id=x + 1, next_edge_id=self._next_edge,
-                vertex_labels=self.vertex_labels, edge_labels=self.edge_labels,
-            ),
-            x,
-        )
+        return self._derived(keep + [x], endpoints), x
 
     def underlying_simple(self) -> "MultiGraph":
         """One edge per adjacent vertex pair; the lowest id is retained."""
@@ -305,33 +294,41 @@ class MultiGraph:
         for e, pair in self._endpoints.items():
             chosen.setdefault(pair, e)
         endpoints = {e: pair for pair, e in chosen.items()}
-        return MultiGraph.with_ids(
-            self._vertices, endpoints,
-            next_vertex_id=self._next_vertex, next_edge_id=self._next_edge,
-            vertex_labels=self.vertex_labels, edge_labels=self.edge_labels,
-        )
+        return self._derived(self._vertices, endpoints)
 
     # -- connectivity and parity -----------------------------------------
 
+    @_memoized
+    def _adjacency(self) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
+        """The vertex index map (position in ``vertices``) and the simple
+        adjacency lists over indices, each sorted; parallel edges
+        collapse.  Every traversal, the matching engine and canonical
+        forms read these; nothing else builds them."""
+        index = {v: i for i, v in enumerate(self._vertices)}
+        nbrs: list[set[int]] = [set() for _ in self._vertices]
+        for u, v in self._endpoints.values():
+            nbrs[index[u]].add(index[v])
+            nbrs[index[v]].add(index[u])
+        return index, tuple(tuple(sorted(row)) for row in nbrs)
+
     def components(self, removed: Iterable[int] = ()) -> list[frozenset[int]]:
-        """Connected components of the graph minus ``removed``, sorted by min vertex."""
+        """Connected components of the graph minus ``removed``, sorted by
+        min vertex; ids that are not vertices are ignored."""
         gone = set(removed)
-        seen: set[int] = set()
+        adj = self._adjacency()[1]
+        seen = [v in gone for v in self._vertices]
         out: list[frozenset[int]] = []
-        for start in self._vertices:
-            if start in gone or start in seen:
+        for start in range(len(adj)):
+            if seen[start]:
                 continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for e in self._inc[v]:
-                    w = self.other_end(e, v)
-                    if w not in gone and w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            out.append(frozenset(comp))
+            seen[start] = True
+            comp = [start]
+            for v in comp:  # breadth first: the loop reaches what is appended
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            out.append(frozenset(self._vertices[i] for i in comp))
         return out
 
     @property
@@ -348,21 +345,22 @@ class MultiGraph:
         Per component, the side holding the smallest vertex goes to A,
         which makes the answer deterministic.
         """
-        color: dict[int, int] = {}
-        for comp in self.components():
-            start = min(comp)
+        adj = self._adjacency()[1]
+        color = [-1] * len(adj)
+        for start in range(len(adj)):
+            if color[start] != -1:
+                continue
             color[start] = 0
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for e in self._inc[v]:
-                    w = self.other_end(e, v)
-                    if w not in color:
-                        color[w] = 1 - color[v]
+            queue = [start]
+            for v in queue:
+                other = 1 - color[v]
+                for w in adj[v]:
+                    if color[w] == -1:
+                        color[w] = other
                         queue.append(w)
-                    elif color[w] == color[v]:
+                    elif color[w] != other:
                         return None
-        a = frozenset(v for v, c in color.items() if c == 0)
+        a = frozenset(v for v, c in zip(self._vertices, color) if c == 0)
         return a, self._vset - a
 
     @property
@@ -438,19 +436,19 @@ class CanonicalForm:
 
 
 def _refine(
-    adj: list[int], mult: list[list[int]], colors: list[int], charge: Callable[[int], None]
+    adj: Sequence[Sequence[int]], mult: list[list[int]], colors: list[int],
+    charge: Callable[[int], None],
 ) -> list[int]:
     # Iterated color refinement: a vertex's new color is (old color,
     # multiset of (neighbor color, multiplicity)), renumbered by sorted
-    # signature.  Each round charges its n x n scan.
+    # signature.  A round scans only the adjacency lists but charges
+    # n^2, the budget's unit.
     n = len(adj)
     while True:
         charge(n * n)
         sigs = []
-        for v in range(n):
-            nbr = sorted(
-                (colors[w], mult[v][w]) for w in range(n) if adj[v] >> w & 1
-            )
+        for v, row in enumerate(adj):
+            nbr = sorted((colors[w], mult[v][w]) for w in row)
             sigs.append((colors[v], tuple(nbr)))
         order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [order[sig] for sig in sigs]
@@ -515,14 +513,11 @@ def canonical_form(g: MultiGraph) -> CanonicalForm:
     ``_CANON_WORK_BUDGET``: n^2 per refinement round and n per stored
     automorphism folded, past which it raises ``CapabilityError``.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index, adj = g._adjacency()
     n = g.n
-    adj = [0] * n
     mult = [[0] * n for _ in range(n)]
     for _, (u, v) in g.edge_items():
         iu, iv = index[u], index[v]
-        adj[iu] |= 1 << iv
-        adj[iv] |= 1 << iu
         mult[iu][iv] += 1
         mult[iv][iu] += 1
 

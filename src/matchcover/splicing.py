@@ -126,18 +126,11 @@ def splice(spec: SpliceSpec) -> SpliceResult:
 
     vertices = [w for w in g1.vertices if w != v1]
     vertices.extend(vertex_map.values())
-    vertex_labels = {
-        w: lab for w, lab in g1.vertex_labels.items() if w != v1
-    }
-    for w, lab in g2.vertex_labels.items():
-        if w != v2:
-            vertex_labels[vertex_map[w]] = lab
     graph = MultiGraph.with_ids(
         vertices,
         endpoints,
         next_vertex_id=fresh_v,
         next_edge_id=fresh_e,
-        vertex_labels=vertex_labels,
         edge_labels=edge_labels,
     )
     shore = frozenset(w for w in g1.vertices if w != v1)

@@ -10,7 +10,7 @@ array network, each capped at the least value found so far."""
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .dependence import equivalence_partition
 from .errors import DomainError, VerificationError
@@ -21,7 +21,7 @@ from .multigraph import Cut, MultiGraph, _memoized
 def is_barrier(g: MultiGraph, vertex_set: Iterable[int]) -> bool:
     """Is the set a barrier, i.e. does g minus it have exactly |set| odd components?"""
     b = frozenset(vertex_set)
-    unknown = b - frozenset(g.vertices)
+    unknown = b - g._vset
     if unknown:
         raise DomainError(f"unknown vertices: {sorted(unknown)}")
     return g.odd_components_count(b) == len(b)
@@ -110,7 +110,7 @@ def _even_2cuts(g: MultiGraph) -> tuple[Cut, ...]:
 
 
 def _split_network(
-    nbrs: list[list[int]],
+    nbrs: Sequence[Sequence[int]],
 ) -> tuple[list[int], list[int], list[list[int]]]:
     """The vertex-split flow network of the graph on vertices 0 .. n-1
     whose neighbour lists are ``nbrs``, as flat arc arrays.
@@ -195,8 +195,7 @@ def vertex_connectivity(g: MultiGraph) -> int:
     n = g.n
     if n <= 1 or not g.is_connected:
         return 0
-    index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [[index[w] for w in g.neighbors(v)] for v in g.vertices]
+    nbrs = g._adjacency()[1]
     if all(len(row) == n - 1 for row in nbrs):
         return n - 1
     head, cap, arcs = _split_network(nbrs)

@@ -23,11 +23,16 @@ perfect matchings alone.  ``brute_two_separation_candidates`` /
 per 4-tuple.  ``brute_hall_violator`` keeps the earlier Hall-set search
 of the brace certificate, on a fresh ``maximum_matching`` of ``g`` minus
 the failing 4-tuple; ``brute_hall_set`` decides the same set from its
-Gallai-Edmonds definition.
+Gallai-Edmonds definition.  ``incidence_components`` /
+``incidence_bipartition`` keep the earlier traversals, which walked the
+incidence lists through ``other_end`` (the bipartition after a
+components pass), and ``simple_is_c4`` the earlier C4 test of a
+decomposition leaf, on its ``underlying_simple`` graph.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations
 
 from typing import Callable, Sequence, TypeVar
@@ -319,6 +324,61 @@ def brute_even_2cuts(g: MultiGraph) -> list:
             shore = first if min(first) < min(second) else second
             out.append(g.cut(shore))
     return out
+
+
+def incidence_components(g: MultiGraph, removed=()) -> list[frozenset[int]]:
+    """Components of g minus ``removed`` (ids that are not vertices are
+    ignored), sorted by min vertex, by a walk of the incidence lists."""
+    gone = set(removed)
+    seen: set[int] = set()
+    out: list[frozenset[int]] = []
+    for start in g.vertices:
+        if start in gone or start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for e in g.incident(v):
+                w = g.other_end(e, v)
+                if w not in gone and w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def incidence_bipartition(g: MultiGraph):
+    """(A, B) with each component's smallest vertex in A, or None when
+    an odd cycle exists: a colouring walk per component."""
+    color: dict[int, int] = {}
+    for comp in incidence_components(g):
+        start = min(comp)
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for e in g.incident(v):
+                w = g.other_end(e, v)
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    a = frozenset(v for v, c in color.items() if c == 0)
+    return a, frozenset(g.vertices) - a
+
+
+def simple_is_c4(g: MultiGraph) -> bool:
+    """Is the underlying simple graph of g a 4-cycle?"""
+    simple = g.underlying_simple()
+    return (
+        simple.n == 4
+        and simple.m == 4
+        and all(simple.degree(v) == 2 for v in simple.vertices)
+        and len(incidence_components(simple)) == 1
+    )
 
 
 def brute_two_separation_candidates(g: MultiGraph) -> list[Cut]:

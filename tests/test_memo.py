@@ -116,6 +116,36 @@ def test_build_analysis_computes_each_invariant_once():
     assert len(engine_runs) > 1 and set(engine_runs.values()) == {1}
 
 
+@pytest.mark.parametrize("name", ["fig2c", "(3,3) final"])
+def test_each_graph_builds_one_adjacency_and_the_engine_reads_it(name):
+    g = build_high_kappa_epsilon(3, 3).final if name == "(3,3) final" else named_graph(name)
+    adjacency_body = MultiGraph._adjacency.__wrapped__.__code__
+    built: list[MultiGraph] = []  # kept alive so that no two graphs share an id
+    engines: list[MultiGraph] = []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is adjacency_body:
+            built.append(frame.f_locals["self"])
+        elif frame.f_code is _engine.__wrapped__.__code__:
+            engines.append(frame.f_locals["g"])
+
+    sys.setprofile(profile)
+    try:
+        _, code = build_analysis(g, name, "", decompose=True)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert g in built and engines
+    # the body runs once per graph, and the engine reads its lists
+    assert len({id(h) for h in built}) == len(built)
+    for h in engines:
+        index, adj, _ = _engine(h)
+        assert index is h._adjacency()[0] and adj is h._adjacency()[1]
+        assert any(h is b for b in built)
+
+
 def _graph_builds(fn):
     # The graph of every matching engine built, and the number of graphs
     # constructed, while fn() runs.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import matchcover.multigraph
 from matchcover.errors import CapabilityError, DomainError, ParseError
 from matchcover.generators import named_graph
-from matchcover.cuts import tight_cut_decomposition
+from matchcover.cuts import _is_c4_up_to_multiplicity, tight_cut_decomposition
 from matchcover.multigraph import (
     CanonicalForm,
     MultiGraph,
@@ -21,7 +21,13 @@ from matchcover.multigraph import (
     parse_graph,
 )
 
-from _oracles import brute_canonical_form, brute_isomorphic
+from _oracles import (
+    brute_canonical_form,
+    brute_isomorphic,
+    incidence_bipartition,
+    incidence_components,
+    simple_is_c4,
+)
 from conftest import big_brace_graph, corpus_params, random_graph
 import random
 
@@ -123,6 +129,51 @@ def test_bipartition():
     a, b = g.bipartition()
     assert {frozenset(a), frozenset(b)} == {frozenset({1, 2, 3}), frozenset({4, 5, 6})}
     assert named_graph("K4").bipartition() is None
+
+
+def _traversal_graphs() -> list[MultiGraph]:
+    # The corpus, the small cases, and seeded multigraphs on scattered
+    # vertex ids: parallel edges, isolated vertices, several components.
+    graphs = [p.values[0] for p in corpus_params()]
+    graphs += [
+        MultiGraph(0),
+        MultiGraph(1),
+        MultiGraph(2, [(1, 2), (1, 2)]),
+        MultiGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 2), (3, 4)]),
+        MultiGraph(4, [(1, 2), (2, 3), (3, 1)]),
+        MultiGraph(4, [(1, 2), (1, 2), (3, 4), (3, 4)]),
+        MultiGraph(4, [(1, 2), (2, 3), (3, 4)]),
+        MultiGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)]),
+    ]
+    rng = random.Random(15)
+    for _ in range(60):
+        n = rng.randrange(0, 12)
+        ids = rng.sample(range(1, 100), n)
+        pairs = [tuple(rng.sample(ids, 2)) for _ in range(rng.randrange(2 * n + 1))] if n > 1 else []
+        graphs.append(MultiGraph(ids, pairs + pairs[: rng.randrange(3)]))
+    return graphs
+
+
+def test_traversals_match_the_incidence_walks():
+    rng = random.Random(16)
+    for g in _traversal_graphs():
+        assert g.components() == incidence_components(g)
+        assert g.bipartition() == incidence_bipartition(g)
+        assert _is_c4_up_to_multiplicity(g) == simple_is_c4(g)
+        for _ in range(4):
+            # repeats and ids that are not vertices
+            removed = [rng.choice(g.vertices + (0, 999)) for _ in range(rng.randrange(5))]
+            assert g.components(removed) == incidence_components(g, removed)
+            assert g.components(iter(removed)) == incidence_components(g, removed)
+
+
+def test_c4_test_reads_decomposition_leaves_like_the_simple_graph_check():
+    seen = set()
+    for g in _traversal_graphs()[:30]:
+        for leaf, _ in tight_cut_decomposition(g).leaves:
+            seen.add(simple_is_c4(leaf))
+            assert _is_c4_up_to_multiplicity(leaf) == simple_is_c4(leaf)
+    assert seen == {True, False}
 
 
 def test_format_parse_round_trip_bit_exact():

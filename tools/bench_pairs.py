@@ -84,17 +84,21 @@ def _summary(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--seed", type=int, action="append", required=True)
+    ap.add_argument("--workload", action="extend", nargs="+", required=True)
+    ap.add_argument("--seed", type=int, action="extend", nargs="+", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--append", action="store_true")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
