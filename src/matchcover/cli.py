@@ -322,8 +322,8 @@ def cmd_splice(args) -> int:
         f"splicing cut: {len(result.cut.edges)} edges, "
         f"shore {{{','.join(map(str, shore))}}} in file numbering\n"
     )
-    for e in sorted(result.cut.provenance):
-        left, right = result.cut.provenance[e]
+    joined = sorted((e, f) for f, e in result.edge_map.items() if e in result.cut.edges)
+    for left, right in joined:
         sys.stdout.write(f"  joined edge: {name1}#{left} with {name2}#{right}\n")
     return 0
 

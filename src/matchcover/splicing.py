@@ -6,6 +6,8 @@ contraction keeping X (the complement shrinks) and side 2 keeps the
 complement.  splice() returns a graph in which g1 keeps every vertex
 and edge id; g2 is remapped into fresh ranges and each joined edge
 keeps its g1-side id, so iterated splices leave earlier ids stable.
+Pi is kept once, in ``SpliceResult.edge_map``: it sends each pi(e) to
+the joined edge e, and the joined edges are the splicing cut's edges.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from itertools import permutations
 from typing import Mapping, NamedTuple, Optional
 
 from .cuts import _as_cut, contractions, is_tight_cut
-from .dependence import is_equivalence_class
-from .errors import CapabilityError, DomainError, VerificationError
+from .errors import CapabilityError, DomainError
 from .matching import has_pm_containing, is_admissible, is_matching_covered
 from .multigraph import CanonicalForm, Cut, MultiGraph, canonical_form
 
@@ -36,23 +37,11 @@ class SpliceSpec:
     pi: Optional[Mapping[int, int]] = None
 
 
-class SplicingCut(Cut):
-    """Splicing cut that remembers, per cut edge id, the original
-    (g1 edge, g2 edge) pair it joins, so pi is recoverable."""
-
-    def __init__(
-        self,
-        graph: MultiGraph,
-        shore: frozenset[int],
-        provenance: Mapping[int, tuple[int, int]],
-    ):
-        super().__init__(graph, shore)
-        self.provenance = dict(provenance)
-
-
 class SpliceResult(NamedTuple):
+    """A splice, its splicing cut (a plain ``Cut``) and g2's id maps."""
+
     graph: MultiGraph
-    cut: SplicingCut
+    cut: Cut
     vertex_map: dict[int, int]  # g2 vertex id -> result id (v2 excluded)
     edge_map: dict[int, int]  # g2 edge id -> result id (star edges -> joined id)
 
@@ -114,12 +103,10 @@ def splice(spec: SpliceSpec) -> SpliceResult:
         endpoints[new_id] = (vertex_map[u], vertex_map[w])
         if e in g2.edge_labels:
             edge_labels[new_id] = g2.edge_labels[e]
-    provenance: dict[int, tuple[int, int]] = {}
     for e in star1:
         u = g1.other_end(e, v1)
         w = g2.other_end(pi[e], v2)
         endpoints[e] = (u, vertex_map[w])
-        provenance[e] = (e, pi[e])
         if e in g1.edge_labels:
             edge_labels[e] = g1.edge_labels[e]
         edge_map[pi[e]] = e
@@ -134,8 +121,7 @@ def splice(spec: SpliceSpec) -> SpliceResult:
         edge_labels=edge_labels,
     )
     shore = frozenset(w for w in g1.vertices if w != v1)
-    cut = SplicingCut(graph, shore, provenance)
-    return SpliceResult(graph, cut, vertex_map, edge_map)
+    return SpliceResult(graph, graph.cut(shore), vertex_map, edge_map)
 
 
 def splice_variants(
@@ -211,21 +197,13 @@ def cross_support(
     return CrossSupport(side, f_edges, _support(pair[side - 1], cut, side, f_edges))
 
 
-def check_merge(
-    g: MultiGraph,
-    c: Cut | frozenset[int],
-    F1,
-    F2,
-    *,
-    cross_check: bool = False,
-) -> bool:
+def check_merge(g: MultiGraph, c: Cut | frozenset[int], F1, F2) -> bool:
     """Do the contraction classes F1 (side 1) and F2 (side 2) merge into
     one class of the whole graph?
 
     True iff their supports on the cut coincide with cardinality >= 2
     and every support edge is inadmissible in each contraction minus its
-    class.  cross_check=True additionally computes the class directly on
-    g and raises a verification error on disagreement.
+    class.  Tests compare this with the class computed directly on g.
     """
     cut = _as_cut(g, c)
     if not is_tight_cut(g, cut):
@@ -240,14 +218,6 @@ def check_merge(
         merged = all(not is_admissible(h1, e) for e in sorted(s1)) and all(
             not is_admissible(h2, e) for e in sorted(s2)
         )
-    if cross_check:
-        direct = is_equivalence_class(g, f1 | f2)
-        if direct != merged:
-            raise VerificationError(
-                "merge-vs-direct",
-                f"support predicate says {merged}, direct class "
-                f"computation says {direct} for F1={sorted(f1)}, F2={sorted(f2)}",
-            )
     return merged
 
 

@@ -171,7 +171,13 @@ def test_splice_command(tmp_path, capsys):
     assert written.exists()
     g = parse_graph(written.read_text())
     assert canonical_form(g) == canonical_form(named_graph("C6bar"))
-    assert "splicing cut: 3 edges" in out
+    assert out == (
+        f"{written}\n"
+        "splicing cut: 3 edges, shore {1,2,3} in file numbering\n"
+        "  joined edge: K4#1 with K4#1\n"
+        "  joined edge: K4#2 with K4#2\n"
+        "  joined edge: K4#3 with K4#3\n"
+    )
 
 
 def test_splice_written_file_round_trips(tmp_path, capsys):
@@ -200,10 +206,17 @@ def test_splice_degree_mismatch_exit_code(capsys):
 
 
 def test_splice_custom_pi(tmp_path, capsys):
-    code, _, _ = run(
+    code, out, _ = run(
         capsys, "splice", "K4", "1", "K4", "1", "--pi", "1:2,2:1,3:3", "--out", str(tmp_path)
     )
     assert code == 0
+    assert out == (
+        f"{tmp_path / 'K4-K4-splice.g'}\n"
+        "splicing cut: 3 edges, shore {1,2,3} in file numbering\n"
+        "  joined edge: K4#1 with K4#2\n"
+        "  joined edge: K4#2 with K4#1\n"
+        "  joined edge: K4#3 with K4#3\n"
+    )
 
 
 def test_construct_and_verify(tmp_path, capsys):

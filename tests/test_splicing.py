@@ -10,6 +10,7 @@ from matchcover.cuts import contractions, is_separating_cut, is_tight_cut
 from matchcover.dependence import (
     depends_on,
     equivalence_partition,
+    is_equivalence_class,
     mutually_dependent,
 )
 from matchcover.errors import CapabilityError, DomainError, VerificationError
@@ -53,11 +54,14 @@ def test_splice_maps_cover_second_graph():
 
 
 def test_splice_cut_provenance():
-    res = splice(SpliceSpec(named_graph("K4"), 1, named_graph("K4"), 1))
-    assert len(res.cut.provenance) == 3
-    for joined, (left, right) in res.cut.provenance.items():
-        assert res.graph.has_edge_id(joined)
-        assert joined == left  # joined edges keep the first graph's id
+    # The cut edges are the joined edges: each keeps its first-graph id e
+    # and edge_map sends pi(e) to it, so pi is recoverable.
+    pi = {1: 2, 2: 3, 3: 1}
+    res = splice(SpliceSpec(named_graph("K4"), 1, named_graph("K4"), 1, pi))
+    assert res.cut.edges == {1, 2, 3}
+    assert {f: e for f, e in res.edge_map.items() if e in res.cut.edges} == {
+        right: left for left, right in pi.items()
+    }
 
 
 def test_splice_cut_is_separating_and_contractions_recover_inputs():
@@ -197,7 +201,7 @@ def test_check_merge_agrees_with_direct_on_bip_splice():
     assert side1 and side2
     for f1 in side1:
         for f2 in side2:
-            predicted = check_merge(g, cut, f1, f2, cross_check=True)
+            predicted = check_merge(g, cut, f1, f2)
             assert predicted == ((f1 | f2) in classes_g)
 
 
@@ -209,7 +213,8 @@ def test_check_merge_positive_case():
     g = t.final
     cut = g.cut(t.cuts[0].shore)
     f0, f1 = t.f_edges
-    assert check_merge(g, cut, {f0}, {f1}, cross_check=True)
+    assert check_merge(g, cut, {f0}, {f1})
+    assert is_equivalence_class(g, {f0, f1})
 
 
 def _spy_contractions(monkeypatch) -> list:
