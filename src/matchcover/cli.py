@@ -13,6 +13,7 @@ verification failed), 3 the exact engines refused the instance size.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -496,6 +497,7 @@ def cmd_corpus(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="matchcover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -23,7 +23,9 @@ perfect matchings alone.  ``brute_two_separation_candidates`` /
 per 4-tuple.  ``brute_hall_violator`` keeps the earlier Hall-set search
 of the brace certificate, on a fresh ``maximum_matching`` of ``g`` minus
 the failing 4-tuple; ``brute_hall_set`` decides the same set from its
-Gallai-Edmonds definition.  ``incidence_components`` /
+Gallai-Edmonds definition.  ``triple_is_tight`` keeps the earlier
+tight-cut test, one ``has_pm_containing`` query per triple of disjoint
+cut edges.  ``incidence_components`` /
 ``incidence_bipartition`` keep the earlier traversals, which walked the
 incidence lists through ``other_end`` (the bipartition after a
 components pass), and ``simple_is_c4`` the earlier C4 test of a
@@ -212,6 +214,21 @@ def pm_removable(g: MultiGraph, removed: frozenset[int]) -> bool:
 def direct_is_tight(g: MultiGraph, cut_edges: frozenset[int]) -> bool:
     """|M ∩ C| = 1 for every perfect matching, by full enumeration."""
     return all(len(pm & cut_edges) == 1 for pm in all_pms(g))
+
+
+def triple_is_tight(g: MultiGraph, cut: Cut) -> bool:
+    """The earlier tight-cut test: an odd cut fails exactly when some
+    three pairwise vertex-disjoint cut edges extend to a perfect
+    matching."""
+    if not cut.is_odd:
+        return False
+    if cut.is_trivial:
+        return True
+    ends = {e: g.endpoints(e) for e in sorted(cut.edges)}
+    return not any(
+        len({*ends[e1], *ends[e2], *ends[e3]}) == 6 and has_pm_containing(g, (e1, e2, e3))
+        for e1, e2, e3 in combinations(ends, 3)
+    )
 
 
 def direct_epsilon(g: MultiGraph) -> int:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import matchcover.cli
 from matchcover.cli import main
 from matchcover.generators import named_graph
 from matchcover.matching import is_admissible, is_matchable, is_matching_covered
@@ -317,6 +318,28 @@ def test_unknown_command_exits_one(capsys):
 def test_no_arguments_exits_one(capsys):
     code, _, _ = run(capsys)
     assert code == 1
+
+
+def test_main_calls_in_one_process_match_fresh_parsers(tmp_path, capsys):
+    # The parser is built once per process: each call, a usage error and
+    # --help among them, gives the output and exit code of a fresh parser.
+    calls = [
+        ("analyze", "K4"),
+        ("splice", "K4", "1", "--bogus"),
+        ("splice", "K4", "1", "K4", "1", "--out", str(tmp_path)),
+        ("corpus", "--dir", str(tmp_path), "--check", "bounds"),
+        ("analyze", "--help"),
+        ("analyze", "K3,3", "--json"),
+        (),
+    ]
+    alone = []
+    for argv in calls:
+        matchcover.cli._build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    matchcover.cli._build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == alone
+    assert matchcover.cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in alone] == [0, 1, 0, 0, 0, 0, 1]
 
 
 def test_console_script_entry_point():

@@ -39,6 +39,7 @@ from _oracles import (
     direct_is_tight,
     odd_cuts_with_small_shore,
     pairwise_is_bicritical,
+    triple_is_tight,
 )
 from conftest import (
     _CORPUS,
@@ -312,7 +313,17 @@ def test_tight_cut_direct_oracle_random(seed):
     rng = random.Random(seed)
     g = random_mc_graph(rng, rng.choice((6, 8)), rng.randrange(5))
     for shore, edges in odd_cuts_with_small_shore(g, 3):
-        assert is_tight_cut(g, g.cut(shore)) == direct_is_tight(g, edges)
+        cut = g.cut(shore)
+        assert is_tight_cut(g, cut) == direct_is_tight(g, edges) == triple_is_tight(g, cut)
+
+
+@pytest.mark.parametrize("g", corpus_params())
+def test_pair_tight_cut_test_agrees_with_triple_oracle_on_corpus(g):
+    # A perfect matching meets an odd cut oddly, so two disjoint cut
+    # edges in one perfect matching decide what three used to.
+    for shore, _ in odd_cuts_with_small_shore(g, 5):
+        cut = g.cut(shore)
+        assert is_tight_cut(g, cut) == triple_is_tight(g, cut), sorted(shore)
 
 
 @settings(max_examples=20, deadline=None)
