@@ -42,7 +42,7 @@ from .errors import (
 )
 from .generators import build_high_kappa_epsilon, named_graph, verify_trace
 from .matching import (
-    _signatures,
+    _mc_witness,
     enumerate_pms,
     is_matchable,
     is_matching_covered,
@@ -120,21 +120,6 @@ def _file_numbering(g: MultiGraph) -> dict[int, int]:
 # -- analyze -----------------------------------------------------------------
 
 
-def _mc_witness(g: MultiGraph) -> dict:
-    if g.n < 2:
-        return {"reason": "order below 2", "edge": None}
-    if g.n % 2:
-        return {"reason": "odd order", "edge": None}
-    if not g.is_connected:
-        return {"reason": "disconnected", "edge": None}
-    if not is_matchable(g):
-        return {"reason": "no perfect matching", "edge": None}
-    # Even, connected and matchable: g is matching covered unless some
-    # edge lies in no perfect matching, that is has witness signature 0.
-    sig = _signatures(g)
-    return {"reason": "inadmissible edge", "edge": next(e for e in g.edge_ids if not sig[e])}
-
-
 def _oracle_checks(g: MultiGraph, eq) -> dict:
     pms = enumerate_pms(g)
     groups: dict[frozenset[int], set[int]] = {}
@@ -166,7 +151,8 @@ def build_analysis(
         },
     }
     if not report["flags"]["matchingCovered"]:
-        report["witness"] = _mc_witness(g)
+        reason, edge = _mc_witness(g)
+        report["witness"] = {"reason": reason, "edge": edge}
         return report, 2
 
     report["canonicalPartition"] = [sorted(p) for p in canonical_partition(g)]

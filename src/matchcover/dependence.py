@@ -159,16 +159,21 @@ def _removable(g: MultiGraph, r: frozenset[int]) -> bool:
     The edges of a class are mutually dependent, so a perfect matching
     that avoids ``min(r)`` avoids all of r: an edge f outside r lies in
     a perfect matching of g - r exactly when it does not depend on
-    ``min(r)``.
+    ``min(r)``.  A matching covered graph of order >= 4 is 2-connected,
+    so g - e is connected for one edge e: only a larger class needs a
+    connectivity pass, and a single edge whose every candidate the pool
+    settles needs no g - e at all.
     """
     e = min(r)
-    rest = g.delete_edges(r)
     sig = _signatures(g)
     # A pool matching that holds f but not e is a perfect matching of
     # g - r through f; only the other edges are asked of g - r's engine.
-    return rest.is_connected and all(
-        has_pm_containing(rest, (f,))
-        for f in g.edge_ids if f not in r and not sig[f] & ~sig[e]
+    ask = [f for f in g.edge_ids if f not in r and not sig[f] & ~sig[e]]
+    if len(r) == 1 and not ask:
+        return True
+    rest = g.delete_edges(r)
+    return (len(r) == 1 or rest.is_connected) and all(
+        has_pm_containing(rest, (f,)) for f in ask
     )
 
 

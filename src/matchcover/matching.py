@@ -24,8 +24,8 @@ differ.
 
 Parallel edges collapse in that adjacency (a matching never needs two
 parallel edges) and answers are lifted back to edge ids.  The
-signatures and the matching-covered verdict are memoized per graph the
-same way.
+signatures and the matching-covered verdict (``_mc_witness``: None, or
+the first condition that fails) are memoized per graph the same way.
 """
 
 from __future__ import annotations
@@ -286,15 +286,26 @@ def _signatures(g: MultiGraph) -> dict[int, int]:
 
 
 @_memoized
+def _mc_witness(g: MultiGraph) -> tuple[str, int | None] | None:
+    """None when g is matching covered, else the first condition that
+    fails as (reason, edge): order below 2, odd order, disconnected, no
+    perfect matching, or the least edge whose witness signature is 0."""
+    if g.n < 2:
+        return "order below 2", None
+    if g.n % 2:
+        return "odd order", None
+    if not g.is_connected:
+        return "disconnected", None
+    sig = _signatures(g)
+    if not any(sig.values()):  # the engine's maximum matching is not perfect
+        return "no perfect matching", None
+    return next((("inadmissible edge", e) for e in g.edge_ids if not sig[e]), None)
+
+
 def is_matching_covered(g: MultiGraph) -> bool:
     """Connected, order >= 2, and every edge admissible: every witness
     signature nonzero."""
-    return (
-        g.n >= 2
-        and g.n % 2 == 0
-        and g.is_connected
-        and all(_signatures(g).values())
-    )
+    return _mc_witness(g) is None
 
 
 def _require_mc(g: MultiGraph, what: str) -> None:

@@ -84,6 +84,23 @@ def test_analyze_odd_order_witness(tmp_path, capsys):
     assert json.loads(out)["witness"]["reason"] == "odd order"
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("p 1 0\n", "order below 2"),
+        ("p 4 2\ne 1 2\ne 3 4\n", "disconnected"),
+        ("p 4 3\ne 1 2\ne 1 3\ne 1 4\n", "no perfect matching"),
+    ],
+    ids=["single-vertex", "two-edges", "star"],
+)
+def test_analyze_witness_names_the_first_failed_condition(tmp_path, capsys, text, reason):
+    path = tmp_path / "g.g"
+    path.write_text(text)
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 2
+    assert json.loads(out)["witness"] == {"reason": reason, "edge": None}
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "no-such-thing")
     assert code == 1

@@ -206,6 +206,20 @@ def test_removability_builds_at_most_one_engine_per_class(name):
     assert set(asked.values()) <= {1}
 
 
+@pytest.mark.parametrize("name", ["K4,4", "C6bar", "prism4", "fig2b", "C6bar+parallel"])
+def test_removability_runs_components_only_for_larger_classes(name):
+    # A matching covered graph of order >= 4 is 2-connected, so g - e is
+    # connected: only a class of two or more edges needs a pass.
+    g = dict(_CORPUS)[name]
+    fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+    classes = equivalence_partition(fresh).classes
+    passes = _calls(MultiGraph.components.__code__, removable_edges, fresh)
+    larger = Counter(frozenset(fresh.edge_ids) - c for c in classes if len(c) > 1)
+    assert Counter(frozenset(call["self"].edge_ids) for call in passes) == larger
+    if name == "K4,4":
+        assert passes == []
+
+
 def test_signature_pool_is_built_once_and_shared():
     # The matching-covered verdict, the partition, every class_of and
     # removability all read one pool, built for g and for no g - e.
