@@ -203,7 +203,7 @@ def check_merge(g: MultiGraph, c: Cut | frozenset[int], F1, F2) -> bool:
 
     True iff their supports on the cut coincide with cardinality >= 2
     and every support edge is inadmissible in each contraction minus its
-    class.  Tests compare this with the class computed directly on g.
+    class.  The class of F1 | F2 in g itself is never computed.
     """
     cut = _as_cut(g, c)
     if not is_tight_cut(g, cut):
