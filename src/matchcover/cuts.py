@@ -18,7 +18,8 @@ bicritical, where bicriticality is read off the memoized canonical
 partition (all parts singletons).  A raw exhaustive odd-shore scan
 stays available as the cross-check authority; the certified search
 never falls back to it.  The first tight cut and the default
-decomposition are memoized per graph.
+decomposition are memoized per graph.  ``is_tight_cut`` asks pairs of
+cut edges: a perfect matching meets an odd cut oddly, never in two.
 """
 
 from __future__ import annotations
@@ -65,11 +66,9 @@ def contractions(g: MultiGraph, c: Cut | frozenset[int]) -> tuple[MultiGraph, Mu
 def is_tight_cut(g: MultiGraph, c: Cut | frozenset[int]) -> bool:
     """Does every perfect matching meet the cut in exactly one edge?
 
-    Only odd cuts can be tight.  A perfect matching meets an odd cut in
-    an odd number of edges, so one that holds two cut edges holds a
-    third: an odd cut fails exactly when some two vertex-disjoint cut
-    edges extend to a perfect matching.  The test is O(|C|^2)
-    matchability calls, no enumeration.
+    Only odd cuts can be tight, and an odd cut fails exactly when two
+    vertex-disjoint cut edges lie in one perfect matching (which then
+    holds a third): O(|C|^2) matchability calls, no enumeration.
     """
     cut = _as_cut(g, c)
     if not cut.is_odd:
