@@ -320,7 +320,8 @@ def test_tight_cut_direct_oracle_random(seed):
 @pytest.mark.parametrize("g", corpus_params())
 def test_pair_tight_cut_test_agrees_with_triple_oracle_on_corpus(g):
     # A perfect matching meets an odd cut oddly, so two disjoint cut
-    # edges in one perfect matching decide what three used to.
+    # edges below the largest, in one perfect matching, decide what
+    # three used to.
     for shore, _ in odd_cuts_with_small_shore(g, 5):
         cut = g.cut(shore)
         assert is_tight_cut(g, cut) == triple_is_tight(g, cut), sorted(shore)
