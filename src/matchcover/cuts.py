@@ -18,8 +18,8 @@ bicritical, where bicriticality is read off the memoized canonical
 partition (all parts singletons).  A raw exhaustive odd-shore scan
 stays available as the cross-check authority; the certified search
 never falls back to it.  The first tight cut and the default
-decomposition are memoized per graph.  ``is_tight_cut`` asks pairs of
-cut edges: a perfect matching meets an odd cut oddly, never in two.
+decomposition are memoized per graph, and a cut's contractions and
+tightness per ``Cut``, which every reader of that cut object shares.
 """
 
 from __future__ import annotations
@@ -53,14 +53,15 @@ def _as_cut(g: MultiGraph, c: Cut | frozenset[int] | set[int]) -> Cut:
 
 
 def contractions(g: MultiGraph, c: Cut | frozenset[int]) -> tuple[MultiGraph, MultiGraph]:
-    """The two C-contractions (G1 keeps the shore, G2 keeps the complement).
+    """The two C-contractions (G1 keeps the shore, G2 keeps the complement),
+    built once per ``Cut``.  Cut-edge ids survive into both; each
+    contraction vertex gets a fresh id."""
+    return _contractions(_as_cut(g, c))
 
-    Cut-edge ids survive into both; each contraction vertex gets a fresh id.
-    """
-    cut = _as_cut(g, c)
-    g1, _ = g.contract(cut.other_shore)
-    g2, _ = g.contract(cut.shore)
-    return g1, g2
+
+@_memoized
+def _contractions(cut: Cut) -> tuple[MultiGraph, MultiGraph]:
+    return cut.graph.contract(cut.other_shore)[0], cut.graph.contract(cut.shore)[0]
 
 
 def is_tight_cut(g: MultiGraph, c: Cut | frozenset[int]) -> bool:
@@ -68,13 +69,18 @@ def is_tight_cut(g: MultiGraph, c: Cut | frozenset[int]) -> bool:
 
     Only odd cuts can be tight.  A perfect matching meets an odd cut
     oddly, so one holding two cut edges holds three, two of them below
-    the largest: pairs of the others decide it, O(|C|^2) queries.
+    the largest: pairs of the others decide it, O(|C|^2) queries once per ``Cut``.
     """
-    cut = _as_cut(g, c)
+    return _is_tight(_as_cut(g, c))
+
+
+@_memoized
+def _is_tight(cut: Cut) -> bool:
     if not cut.is_odd:
         return False
     if cut.is_trivial:
         return True
+    g = cut.graph
     edges = sorted(cut.edges)
     ends = {e: g.endpoints(e) for e in edges}
     for e1, e2 in combinations(edges[:-1], 2):

@@ -74,6 +74,15 @@ def mutually_dependent(g: MultiGraph, e: int, f: int) -> bool:
     return _depends(g, e, f) and _depends(g, f, e)
 
 
+def _class_among(g: MultiGraph, e: int, edges: Iterable[int]) -> frozenset[int]:
+    """The edges of ``edges`` mutually dependent with e: only those that
+    share e's witness signature get the two ``_depends`` tests."""
+    sig = _signatures(g)
+    return frozenset(
+        f for f in edges if sig[f] == sig[e] and _depends(g, f, e) and _depends(g, e, f)
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class EquivalencePartition:
     """Classes of mutual dependence; sorted by minimum edge id."""
@@ -107,15 +116,10 @@ def equivalence_partition(g: MultiGraph) -> EquivalencePartition:
     dependent with e.
     """
     _require_mc(g, "equivalence partition")
-    sig = _signatures(g)
     classes = []
     left = list(g.edge_ids)
     while left:
-        e = left[0]
-        cls = frozenset(
-            f for f in left
-            if sig[f] == sig[e] and _depends(g, f, e) and _depends(g, e, f)
-        )
+        cls = _class_among(g, left[0], left)
         classes.append(cls)
         left = [f for f in left if f not in cls]
     return EquivalencePartition(tuple(classes))
@@ -126,11 +130,7 @@ def class_of(g: MultiGraph, e: int) -> frozenset[int]:
     whole partition: pair tests only against the edges that share e's
     witness signature."""
     _check_ids(g, e)
-    sig = _signatures(g)
-    return frozenset(
-        f for f in g.edge_ids
-        if sig[f] == sig[e] and _depends(g, f, e) and _depends(g, e, f)
-    )
+    return _class_among(g, e, g.edge_ids)
 
 
 def is_equivalence_class(g: MultiGraph, edges: Iterable[int]) -> bool:

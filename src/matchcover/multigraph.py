@@ -12,12 +12,12 @@ The text format (used by the CLI) is::
 
 ``format_graph`` output parses and formats back to the same bytes.
 
-Derived results that depend only on the graph are memoized on the graph
-itself (``_memoized``); immutability means they never go stale.  One of
-them, ``_adjacency``, is the graph's index adjacency: the vertex index
-map and the sorted simple neighbour lists over indices.  Components,
-the bipartition, the matching engine, connectivity, the cut scans and
-canonical forms all traverse it; nothing else builds one.
+Results derived from a graph or one of its cuts alone are memoized on
+that object (``_memoized``); immutability means they never go stale.
+One of them, ``_adjacency``, is the graph's index adjacency: the vertex
+index map and the sorted simple neighbour lists over indices.
+Components, the bipartition, the matching engine, connectivity, the cut
+scans and canonical forms all traverse it; nothing else builds one.
 """
 
 from __future__ import annotations
@@ -32,19 +32,20 @@ from .errors import CapabilityError, DomainError, ParseError
 _CANON_WORK_BUDGET = 1_500_000_000
 
 _T = TypeVar("_T")
+_O = TypeVar("_O", "MultiGraph", "Cut")
 
 
-def _memoized(fn: Callable[["MultiGraph"], _T]) -> Callable[["MultiGraph"], _T]:
-    """Cache ``fn(g)`` in ``g._memo``, keyed by ``fn``; the one per-graph
-    cache, holding only values computed from ``g`` itself.  A call that
-    raises caches nothing, so it raises again."""
+def _memoized(fn: Callable[[_O], _T]) -> Callable[[_O], _T]:
+    """Cache ``fn(x)`` in ``x._memo``, keyed by ``fn``; the one cache of
+    graphs and their cuts, holding only values computed from ``x``
+    itself.  A call that raises caches nothing, so it raises again."""
 
     @wraps(fn)
-    def wrapper(g: "MultiGraph") -> _T:
+    def wrapper(x: _O) -> _T:
         try:
-            return g._memo[fn]
+            return x._memo[fn]
         except KeyError:
-            value = g._memo[fn] = fn(g)
+            value = x._memo[fn] = fn(x)
             return value
 
     return wrapper
@@ -369,7 +370,8 @@ class MultiGraph:
 
 
 class Cut:
-    """A cut of a specific graph, held as one shore plus the derived edge set."""
+    """A cut of a specific graph: one shore, the derived edge set, and a
+    ``_memo`` (as on graphs) holding the cut's contractions and tightness."""
 
     def __init__(self, graph: MultiGraph, shore: Iterable[int]):
         s = frozenset(shore)
@@ -380,6 +382,7 @@ class Cut:
             raise DomainError("cut shore must be nonempty and proper")
         self.graph = graph
         self.shore: frozenset[int] = s
+        self._memo: dict[object, object] = {}
 
     @cached_property
     def edges(self) -> frozenset[int]:

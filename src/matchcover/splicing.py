@@ -8,6 +8,8 @@ and edge id; g2 is remapped into fresh ranges and each joined edge
 keeps its g1-side id, so iterated splices leave earlier ids stable.
 Pi is kept once, in ``SpliceResult.edge_map``: it sends each pi(e) to
 the joined edge e, and the joined edges are the splicing cut's edges.
+The merge analysis reads the cut's memoized contractions, asks their own
+engines, and refuses with ``DomainError`` what its theorems do not cover.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import dataclasses
 from itertools import permutations
 from typing import Mapping, NamedTuple, Optional
 
-from .cuts import _as_cut, contractions, is_tight_cut
+from .cuts import _as_cut, contractions, is_separating_cut, is_tight_cut
+from .dependence import _depends, equivalence_partition
 from .errors import CapabilityError, DomainError
-from .matching import has_pm_containing, is_admissible, is_matching_covered
+from .matching import has_pm_containing
 from .multigraph import CanonicalForm, Cut, MultiGraph, canonical_form
 
 VARIANT_DEGREE_LIMIT = 8
@@ -191,34 +194,32 @@ def cross_support(
     cut = _as_cut(g, c)
     f_edges = frozenset(F)
     _kept(cut, side)  # rejects a side other than 1 or 2
-    pair = contractions(g, cut)
-    if not all(is_matching_covered(h) for h in pair):
+    if not is_separating_cut(g, cut):
         raise DomainError("cross support is defined over separating cuts")
-    return CrossSupport(side, f_edges, _support(pair[side - 1], cut, side, f_edges))
+    h = contractions(g, cut)[side - 1]
+    return CrossSupport(side, f_edges, _support(h, cut, side, f_edges))
 
 
 def check_merge(g: MultiGraph, c: Cut | frozenset[int], F1, F2) -> bool:
-    """Do the contraction classes F1 (side 1) and F2 (side 2) merge into
-    one class of the whole graph?
+    """Across a tight cut, do the classes F1 of G1 (side 1) and F2 of G2
+    (side 2) merge into one class of g?  Any other input is refused.
 
     True iff their supports on the cut coincide with cardinality >= 2
-    and every support edge is inadmissible in each contraction minus its
-    class.  The class of F1 | F2 in g itself is never computed.
+    and every support edge e is inadmissible in each G_i - F_i: as a
+    perfect matching holds all of a class or none of it, that is
+    ``_depends(G_i, e, min(F_i))`` on G_i's own engine.  The class of
+    F1 | F2 in g itself is never computed.
     """
     cut = _as_cut(g, c)
     if not is_tight_cut(g, cut):
         raise DomainError("merge analysis needs a tight cut")
-    f1, f2 = frozenset(F1), frozenset(F2)
-    g1, g2 = contractions(g, cut)
-    s1, s2 = _support(g1, cut, 1, f1), _support(g2, cut, 2, f2)
-    merged = s1 == s2 and len(s1) >= 2
-    if merged:
-        h1 = g1.delete_edges(f1)
-        h2 = g2.delete_edges(f2)
-        merged = all(not is_admissible(h1, e) for e in sorted(s1)) and all(
-            not is_admissible(h2, e) for e in sorted(s2)
-        )
-    return merged
+    sides = list(zip((1, 2), contractions(g, cut), (frozenset(F1), frozenset(F2))))
+    s1, s2 = (_support(h, cut, i, f) for i, h, f in sides)
+    if any(f not in equivalence_partition(h).classes for _, h, f in sides):
+        raise DomainError("F1 and F2 must be classes of their contractions")
+    return s1 == s2 and len(s1) >= 2 and all(
+        _depends(h, e, min(f)) for _, h, f in sides for e in sorted(s1)
+    )
 
 
 class ClassRestriction(NamedTuple):
@@ -229,13 +230,18 @@ class ClassRestriction(NamedTuple):
 def restrict_class(
     g: MultiGraph, c: Cut | frozenset[int], F, side: int
 ) -> ClassRestriction:
-    """F intersected with one contraction's edge set.  Across a tight
-    cut a nonempty restriction is itself a class of the contraction;
-    across a merely separating cut only containment is guaranteed."""
+    """A class F of g intersected with one contraction's edge set: across
+    a tight cut a nonempty restriction is a class of the contraction, and
+    across a separating cut it lies in one.  Other input is refused."""
     cut = _as_cut(g, c)
     kept = _kept(cut, side)
-    edges = frozenset(e for e in F if g.has_edge_id(e) and kept & {*g.endpoints(e)})
+    f_edges = frozenset(F)
+    if f_edges not in equivalence_partition(g).classes:
+        raise DomainError("F must be a class of the graph")
+    tight = is_tight_cut(g, cut)
+    if not tight and not is_separating_cut(g, cut):
+        raise DomainError("class restriction needs a separating cut")
+    edges = frozenset(e for e in f_edges if kept & {*g.endpoints(e)})
     if not edges:
         return ClassRestriction(edges, "empty")
-    relation = "equals_class" if is_tight_cut(g, cut) else "subset_of_class"
-    return ClassRestriction(edges, relation)
+    return ClassRestriction(edges, "equals_class" if tight else "subset_of_class")

@@ -25,7 +25,9 @@ of the brace certificate, on a fresh ``maximum_matching`` of ``g`` minus
 the failing 4-tuple; ``brute_hall_set`` decides the same set from its
 Gallai-Edmonds definition.  ``triple_is_tight`` keeps the earlier
 tight-cut test, one ``has_pm_containing`` query per triple of disjoint
-cut edges.  ``incidence_components`` /
+cut edges.  ``deletion_check_merge`` keeps the earlier merge test
+across a tight cut, which asked the graphs ``G_i - F_i`` whether each
+support edge is admissible.  ``incidence_components`` /
 ``incidence_bipartition`` keep the earlier traversals, which walked the
 incidence lists through ``other_end`` (the bipartition after a
 components pass), and ``simple_is_c4`` the earlier C4 test of a
@@ -39,16 +41,19 @@ from itertools import combinations, permutations
 
 from typing import Callable, Sequence, TypeVar
 
+from matchcover.cuts import _as_cut, contractions, is_tight_cut
 from matchcover.dependence import EquivalencePartition, _check_ids, equivalence_partition
 from matchcover.errors import CapabilityError, DomainError
 from matchcover.matching import (
     _require_mc,
     has_pm_containing,
+    is_admissible,
     is_matching_covered,
     matchable_minus,
     maximum_matching,
 )
 from matchcover.multigraph import CanonicalForm, Cut, MultiGraph, _find
+from matchcover.splicing import _support
 
 _T = TypeVar("_T")
 
@@ -229,6 +234,27 @@ def triple_is_tight(g: MultiGraph, cut: Cut) -> bool:
         len({*ends[e1], *ends[e2], *ends[e3]}) == 6 and has_pm_containing(g, (e1, e2, e3))
         for e1, e2, e3 in combinations(ends, 3)
     )
+
+
+def deletion_check_merge(g: MultiGraph, c: Cut | frozenset[int], F1, F2) -> bool:
+    """The earlier merge test: the supports of F1 and F2 on the tight cut
+    coincide with cardinality >= 2, and every support edge is
+    inadmissible in the graphs G_i - F_i, each built with its own
+    matching engine."""
+    cut = _as_cut(g, c)
+    if not is_tight_cut(g, cut):
+        raise DomainError("merge analysis needs a tight cut")
+    f1, f2 = frozenset(F1), frozenset(F2)
+    g1, g2 = contractions(g, cut)
+    s1, s2 = _support(g1, cut, 1, f1), _support(g2, cut, 2, f2)
+    merged = s1 == s2 and len(s1) >= 2
+    if merged:
+        h1 = g1.delete_edges(f1)
+        h2 = g2.delete_edges(f2)
+        merged = all(not is_admissible(h1, e) for e in sorted(s1)) and all(
+            not is_admissible(h2, e) for e in sorted(s2)
+        )
+    return merged
 
 
 def direct_epsilon(g: MultiGraph) -> int:

@@ -44,7 +44,12 @@ from matchcover.structure import (
 from matchcover.dependence import depends_on, mutually_dependent
 from matchcover.matching import is_admissible
 
-from _oracles import all_pms, brute_max_matching, odd_cuts_with_small_shore
+from _oracles import (
+    all_pms,
+    brute_max_matching,
+    deletion_check_merge,
+    odd_cuts_with_small_shore,
+)
 from conftest import random_graph, random_mc_graph, random_nonbipartite_mc_graph
 
 
@@ -239,6 +244,7 @@ def test_criterion_7_merging_theory():
             for f2 in side2:
                 predicted = check_merge(g, cut, f1, f2)
                 assert predicted == ((f1 | f2) in classes_g), (sorted(f1), sorted(f2))
+                assert predicted == deletion_check_merge(g, cut, f1, f2)
                 pair_total += 1
                 merge_total += predicted
 

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 import matchcover.cuts
 import matchcover.splicing
-from matchcover.cuts import contractions, is_separating_cut, is_tight_cut
+from matchcover.cli import main
+from matchcover.cuts import (
+    contractions,
+    find_nontrivial_tight_cut,
+    is_separating_cut,
+    is_tight_cut,
+)
 from matchcover.dependence import (
     depends_on,
     equivalence_partition,
@@ -16,7 +22,7 @@ from matchcover.dependence import (
 from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.generators import named_graph
 from matchcover.matching import is_admissible, is_matching_covered
-from matchcover.multigraph import MultiGraph, canonical_form
+from matchcover.multigraph import MultiGraph, _memoized, canonical_form, format_graph
 from matchcover.splicing import (
     SpliceSpec,
     check_merge,
@@ -26,6 +32,7 @@ from matchcover.splicing import (
     splice_variants,
 )
 
+from _oracles import deletion_check_merge
 from conftest import random_splice
 
 
@@ -205,6 +212,41 @@ def test_check_merge_agrees_with_direct_on_bip_splice():
             assert predicted == ((f1 | f2) in classes_g)
 
 
+def test_check_merge_refuses_a_union_of_contraction_classes():
+    # {5, 21} is the union of the G1 classes {5} and {21}: the merge rule
+    # says nothing about it, and {5, 21, 28} is no class of g.
+    from matchcover.generators import build_high_kappa_epsilon
+
+    t = build_high_kappa_epsilon(2, 2)
+    g = t.final
+    cut = g.cut(t.cuts[0].shore)
+    g1, _ = contractions(g, cut)
+    assert {frozenset({5}), frozenset({21})} <= set(equivalence_partition(g1).classes)
+    assert not is_equivalence_class(g, {5, 21, 28})
+    with pytest.raises(DomainError, match="classes of their contractions"):
+        check_merge(g, cut, {5, 21}, {28})
+    assert check_merge(g, cut, {21}, {28})
+    assert is_equivalence_class(g, {21, 28})
+
+
+def test_check_merge_matches_deletion_oracle_on_corpus(corpus):
+    # Every side-class pair across each corpus graph's first tight cut.
+    pairs = 0
+    for name, g in corpus:
+        cut = find_nontrivial_tight_cut(g)
+        if cut is None:
+            continue
+        g1, g2 = contractions(g, cut)
+        side1 = [c for c in equivalence_partition(g1).classes if not c & cut.edges]
+        side2 = [c for c in equivalence_partition(g2).classes if not c & cut.edges]
+        for f1 in side1:
+            for f2 in side2:
+                expected = deletion_check_merge(g, cut, f1, f2)
+                assert check_merge(g, cut, f1, f2) == expected, (name, sorted(f1), sorted(f2))
+                pairs += 1
+    assert pairs
+
+
 def test_check_merge_positive_case():
     # the construction's first stage merges {f0, f1} across its barrier cut
     from matchcover.generators import build_high_kappa_epsilon
@@ -247,16 +289,50 @@ def test_check_merge_builds_the_contractions_once(monkeypatch):
         check_merge(g, cut, {some_cut_edge}, set())
 
 
+def _spy_contract(monkeypatch) -> list:
+    built = []
+    contract = MultiGraph.contract
+
+    def spy(g, shore):
+        built.append(g)
+        return contract(g, shore)
+
+    monkeypatch.setattr(MultiGraph, "contract", spy)
+    return built
+
+
 def test_cross_support_builds_the_contractions_once(monkeypatch):
-    # One pair serves both the separating check and the support.
+    # One pair, memoized on the cut, serves the separating check and
+    # both sides' supports: two contraction builds in all.
     g, cut = _bip_splice()
-    expected = {side: cross_support(g, cut, side, set()) for side in (1, 2)}
-    built = _spy_contractions(monkeypatch)
+    built = _spy_contract(monkeypatch)
     for side in (1, 2):
-        assert cross_support(g, cut, side, set()) == expected[side]
+        assert cross_support(g, cut, side, set()).support == cut.edges
     assert built == [g, g]
     with pytest.raises(DomainError, match="side must be 1"):
         cross_support(g, cut, 3, set())
+
+
+def test_merging_suite_builds_one_pair_and_one_tightness_proof(monkeypatch, tmp_path, capsys):
+    # Every check_merge pair reads the memoized first cut of the suite,
+    # so its contractions are built once and its tightness proved once.
+    from matchcover.generators import build_high_kappa_epsilon
+
+    (tmp_path / "final.g").write_text(format_graph(build_high_kappa_epsilon(2, 2).final))
+    built = _spy_contract(monkeypatch)
+    body = matchcover.cuts._is_tight.__wrapped__
+    proved = []
+
+    def counted(cut):
+        proved.append(cut)
+        return body(cut)
+
+    monkeypatch.setattr(matchcover.cuts, "_is_tight", _memoized(counted))
+    assert main(["corpus", "--check", "merging", "--dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    pairs = int(out.split("PASS")[1].split()[0])
+    assert pairs > 1
+    assert len(built) == 2 and len(proved) == 1
 
 
 def test_restrict_class_builds_no_contraction(monkeypatch):
@@ -267,10 +343,29 @@ def test_restrict_class_builds_no_contraction(monkeypatch):
     for cls in equivalence_partition(g):
         for side, h in ((1, g1), (2, g2)):
             edges = frozenset(e for e in cls if h.has_edge_id(e))
-            assert restrict_class(g, cut, cls | {10_000}, side).edges == edges
+            assert restrict_class(g, cut, cls, side).edges == edges
+            with pytest.raises(DomainError, match="class of the graph"):
+                restrict_class(g, cut, cls | {10_000}, side)
     assert built == []
     with pytest.raises(DomainError, match="side must be 1"):
         restrict_class(g, cut, set(), 0)
+
+
+def test_restrict_class_refuses_what_its_theorem_does_not_cover():
+    from matchcover.generators import build_high_kappa_epsilon
+
+    t = build_high_kappa_epsilon(2, 2)
+    g = t.final
+    cut = g.cut(t.cuts[0].shore)
+    # {5, 21} is a class of neither g nor G1
+    assert not is_equivalence_class(g, {5, 21})
+    with pytest.raises(DomainError, match="class of the graph"):
+        restrict_class(g, cut, {5, 21}, 1)
+    # a cut that is not separating has no contraction partition to relate to
+    p = named_graph("petersen")
+    assert not is_separating_cut(p, p.cut({1, 2, 3}))
+    with pytest.raises(DomainError, match="separating cut"):
+        restrict_class(p, p.cut({1, 2, 3}), {1}, 1)
 
 
 def test_restrict_class_tight_vs_separating():
