@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .cuts import (
+    _leaf_form,
     classify,
     contractions,
     find_nontrivial_tight_cut,
@@ -47,7 +48,7 @@ from .matching import (
     is_matchable,
     is_matching_covered,
 )
-from .multigraph import MultiGraph, canonical_form, format_graph, parse_graph
+from .multigraph import MultiGraph, format_graph, parse_graph
 from .splicing import SpliceSpec, check_merge, splice, splice_variants
 from .structure import canonical_partition, even_2cuts
 
@@ -186,7 +187,7 @@ def build_analysis(
                     "tag": tag,
                     "n": leaf.n,
                     "m": leaf.m,
-                    "canonical": canonical_form(leaf.underlying_simple()).digest,
+                    "canonical": _leaf_form(leaf).digest,
                 }
                 for leaf, tag in result.leaves
             ],

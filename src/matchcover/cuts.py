@@ -17,9 +17,11 @@ Nonbipartite graphs are certified by the brick test: 3-connected and
 bicritical, where bicriticality is read off the memoized canonical
 partition (all parts singletons).  A raw exhaustive odd-shore scan
 stays available as the cross-check authority; the certified search
-never falls back to it.  The first tight cut and the default
+never falls back to it.  The first tight cut (read lazily), the whole
+candidate list, each decomposition leaf's canonical form and the default
 decomposition are memoized per graph, and a cut's contractions and
-tightness per ``Cut``, which every reader of that cut object shares.
+tightness per ``Cut``, so cut-choice strategies that pick the same
+candidate share the whole subtree below it.
 """
 
 from __future__ import annotations
@@ -332,11 +334,17 @@ def find_nontrivial_tight_cut(g: MultiGraph) -> Optional[Cut]:
     return next(_tight_cuts(g), None)
 
 
+@_memoized
+def _candidates(g: MultiGraph) -> tuple[Cut, ...]:
+    return tuple(_tight_cuts(g))
+
+
 def tight_cut_candidates(g: MultiGraph) -> list[Cut]:
     """All verified cuts the polynomial phases can see (used by the
     cut-choice strategies); falls back to the certified tail when the
-    phases are empty."""
-    return list(_tight_cuts(g))
+    phases are empty.  The stream is read once per graph, so every
+    strategy gets the same ``Cut`` objects; the list is the caller's own."""
+    return list(_candidates(g))
 
 
 def make_chooser(strategy: str = "first") -> Callable[[MultiGraph], Optional[Cut]]:
@@ -385,17 +393,17 @@ class DecompositionResult:
 
     @cached_property
     def leaf_forms(self) -> tuple[CanonicalForm, ...]:
-        """Sorted canonical forms of the leaves, computed on first use.
+        """Sorted canonical forms of the leaves, computed on first use and
+        once per leaf graph (``_leaf_form``)."""
+        forms = (_leaf_form(h) for h, _ in self.leaves)
+        return tuple(sorted(forms, key=lambda cf: (cf.n, cf.encoding)))
 
-        Uniqueness of the decomposition holds mod parallel edges, so the
-        forms are taken of the underlying simple graphs.
-        """
-        return tuple(
-            sorted(
-                (canonical_form(h.underlying_simple()) for h, _ in self.leaves),
-                key=lambda cf: (cf.n, cf.encoding),
-            )
-        )
+
+@_memoized
+def _leaf_form(h: MultiGraph) -> CanonicalForm:
+    # Uniqueness of the decomposition holds mod parallel edges, so a
+    # leaf's form is taken of its underlying simple graph.
+    return canonical_form(h.underlying_simple())
 
 
 def _is_c4_up_to_multiplicity(g: MultiGraph) -> bool:

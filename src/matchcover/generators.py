@@ -27,9 +27,9 @@ from .cuts import (
     exhaustive_nontrivial_tight_cut,
     is_tight_cut,
 )
-from .dependence import is_equivalence_class
+from .dependence import _depends, is_equivalence_class
 from .errors import DomainError, MatchcoverError, VerificationError
-from .matching import is_admissible, is_matching_covered, maximum_matching
+from .matching import is_matching_covered, maximum_matching
 from .multigraph import Cut, MultiGraph
 from .splicing import SpliceSpec, splice
 from .structure import is_barrier, vertex_connectivity
@@ -368,8 +368,8 @@ def build_high_kappa_epsilon(
 
 
 def _all_inadmissible(g: MultiGraph, removed, targets) -> tuple[bool, str]:
-    h = g.delete_edges(removed)
-    bad = sorted(e for e in targets if is_admissible(h, e))
+    # Sound (e depends on min(F) => e inadmissible in g - F); exact for one edge or one class.
+    bad = sorted(e for e in targets if not _depends(g, e, min(removed)))
     if bad:
         return False, f"admissible after deletion: {bad}"
     return True, f"{len(set(targets))} edges all inadmissible"

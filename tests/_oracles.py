@@ -27,7 +27,11 @@ Gallai-Edmonds definition.  ``triple_is_tight`` keeps the earlier
 tight-cut test, one ``has_pm_containing`` query per triple of disjoint
 cut edges.  ``deletion_check_merge`` keeps the earlier merge test
 across a tight cut, which asked the graphs ``G_i - F_i`` whether each
-support edge is admissible.  ``incidence_components`` /
+support edge is admissible, and ``deletion_all_inadmissible`` the
+earlier inadmissibility check of ``verify_trace``, which asked the
+graph ``g - F`` the same of each target edge.  ``stream_chooser``
+picks a cut as ``make_chooser`` does, but from a fresh run of the whole
+cut stream on every call.  ``incidence_components`` /
 ``incidence_bipartition`` keep the earlier traversals, which walked the
 incidence lists through ``other_end`` (the bipartition after a
 components pass), and ``simple_is_c4`` the earlier C4 test of a
@@ -36,12 +40,14 @@ decomposition leaf, on its ``underlying_simple`` graph.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import combinations, permutations
+from operator import itemgetter
 
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
-from matchcover.cuts import _as_cut, contractions, is_tight_cut
+from matchcover.cuts import _as_cut, _tight_cuts, contractions, is_tight_cut
 from matchcover.dependence import EquivalencePartition, _check_ids, equivalence_partition
 from matchcover.errors import CapabilityError, DomainError
 from matchcover.matching import (
@@ -255,6 +261,37 @@ def deletion_check_merge(g: MultiGraph, c: Cut | frozenset[int], F1, F2) -> bool
             not is_admissible(h2, e) for e in sorted(s2)
         )
     return merged
+
+
+def deletion_all_inadmissible(g: MultiGraph, removed, targets) -> tuple[bool, str]:
+    """The earlier ``verify_trace`` check: every target edge is
+    inadmissible in the graph ``g - removed``, built with its own
+    matching engine."""
+    h = g.delete_edges(removed)
+    bad = sorted(e for e in targets if is_admissible(h, e))
+    if bad:
+        return False, f"admissible after deletion: {bad}"
+    return True, f"{len(set(targets))} edges all inadmissible"
+
+
+def stream_chooser(strategy: str) -> Callable[[MultiGraph], Optional[Cut]]:
+    """The cut ``make_chooser(strategy)`` picks ("first", "reverse" or
+    "random:<seed>"), read off ``list(_tight_cuts(h))`` anew on every
+    call: no memoized candidate list, so no shared ``Cut`` objects."""
+    if strategy == "first":
+        pick = itemgetter(0)
+    elif strategy == "reverse":
+        pick = itemgetter(-1)
+    else:
+        kind, _, seed = strategy.partition(":")
+        assert kind == "random", strategy
+        pick = random.Random(int(seed) if seed else 0).choice
+
+    def choose(h: MultiGraph) -> Optional[Cut]:
+        cands = list(_tight_cuts(h))
+        return pick(cands) if cands else None
+
+    return choose
 
 
 def direct_epsilon(g: MultiGraph) -> int:

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchcover.cli
 from matchcover.cuts import (
     EXHAUSTIVE_LIMIT,
     _bipartite_tight_cut,
     _brace_obstruction,
     _brick_certificate,
+    _decompose,
     _two_separation_candidates,
     classify,
     contractions,
@@ -27,7 +29,7 @@ from matchcover.cuts import (
 from matchcover.errors import CapabilityError, DomainError
 from matchcover.generators import MARKED_CUT_SHORES, named_graph
 from matchcover.matching import is_matching_covered
-from matchcover.multigraph import MultiGraph, canonical_form
+from matchcover.multigraph import MultiGraph, canonical_form, format_graph
 from matchcover.structure import vertex_connectivity
 
 from _oracles import (
@@ -39,6 +41,7 @@ from _oracles import (
     direct_is_tight,
     odd_cuts_with_small_shore,
     pairwise_is_bicritical,
+    stream_chooser,
     triple_is_tight,
 )
 from conftest import (
@@ -245,6 +248,37 @@ def test_decomposition_strategy_invariance(g):
         for s in strategies
     ]
     assert all(f == forms[0] for f in forms)
+
+
+def _suite_strategies(g: MultiGraph, seed: int, monkeypatch) -> list[str]:
+    # The strategies the corpus uniqueness suite asks for at `seed`.
+    asked = []
+
+    def spy(strategy):
+        asked.append(strategy)
+        return make_chooser(strategy)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matchcover.cli, "make_chooser", spy)
+        assert matchcover.cli._suite_uniqueness(g, seed)[0] == "PASS"
+    return asked
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("g", corpus_params())
+def test_strategies_split_as_a_fresh_stream_does(g, seed, monkeypatch):
+    # The memoized candidate list keeps the stream's order, so every
+    # strategy, random draws included, makes the splits and leaves of a
+    # chooser that reads the whole stream anew on each graph.
+    strategies = _suite_strategies(g, seed, monkeypatch)
+    assert len(strategies) == 5
+    for strategy in strategies:
+        ours = tight_cut_decomposition(g, make_chooser(strategy))
+        ref = _decompose(g, stream_chooser(strategy), "tight")
+        assert ours.splits == ref.splits, strategy
+        assert [(format_graph(h), tag) for h, tag in ours.leaves] == [
+            (format_graph(h), tag) for h, tag in ref.leaves
+        ], strategy
 
 
 def test_make_chooser_rejects_unknown():

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+import matchcover.generators
 from matchcover.cuts import classify, is_separating_cut, is_tight_cut
 from matchcover.dependence import equivalence_partition, is_equivalence_class
 from matchcover.errors import DomainError, VerificationError
@@ -11,8 +14,10 @@ from matchcover.generators import (
     verify_trace,
 )
 from matchcover.matching import is_matching_covered
-from matchcover.multigraph import canonical_form
+from matchcover.multigraph import MultiGraph, canonical_form
 from matchcover.structure import is_barrier, vertex_connectivity
+
+from _oracles import deletion_all_inadmissible
 
 
 def test_named_graph_families():
@@ -146,6 +151,54 @@ def test_misroute_fails_verification():
     report = exc_info.value.report
     failed = {name for name, row in report.items() if not row["ok"]}
     assert any("merged-class" in name for name in failed)
+
+
+_TRACES = [(2, 2, False), (2, 3, False), (3, 3, False), (3, 4, False),
+           (2, 2, True), (2, 3, True), (3, 3, True)]
+
+
+@pytest.mark.parametrize("p,q,misroute", _TRACES)
+def test_inadmissibility_checks_match_the_deletion_oracle(p, q, misroute, monkeypatch):
+    # Each check asks g's own engine whether a target depends on min(F);
+    # the earlier body asked the graph g - F.  The verdicts agree on
+    # every check of well-built and misrouted traces alike, and, where F
+    # is one edge or one class, on every other edge of g as targets.
+    t = build_high_kappa_epsilon(p, q, misroute=misroute)
+    seen = []
+
+    def both(g, removed, targets):
+        verdict = inadmissible(g, removed, targets)
+        assert verdict == deletion_all_inadmissible(g, removed, targets)
+        seen.append(verdict[0])
+        if len(removed) == 1 or is_equivalence_class(g, removed):
+            rest = [e for e in g.edge_ids if e not in removed]
+            assert inadmissible(g, removed, rest) == deletion_all_inadmissible(g, removed, rest)
+            assert not inadmissible(g, removed, rest)[0]
+        return verdict
+
+    inadmissible = matchcover.generators._all_inadmissible
+    monkeypatch.setattr(matchcover.generators, "_all_inadmissible", both)
+    try:
+        verify_trace(t)
+    except VerificationError:
+        assert misroute
+    assert len(seen) == 2 * q - 1
+
+
+def test_verify_trace_builds_no_graph_minus_edges():
+    t = build_high_kappa_epsilon(3, 3)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is MultiGraph.delete_edges.__code__:
+            calls.append(frame.f_locals["self"])
+
+    sys.setprofile(profile)
+    try:
+        verify_trace(t)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
 
 
 def test_misrouted_graph_is_still_matching_covered():

@@ -1,6 +1,8 @@
 """The per-graph memo: shared results, fresh mutable answers, lazy leaf
 forms, and no repeated invariant work inside one analysis."""
 
+import contextlib
+import io
 import random
 import re
 import sys
@@ -11,7 +13,7 @@ import pytest
 
 import matchcover
 import matchcover.cuts
-from matchcover.cli import build_analysis
+from matchcover.cli import build_analysis, main
 from matchcover.cuts import (
     _bipartite_tight_cut,
     _brace_obstruction,
@@ -43,7 +45,7 @@ from matchcover.matching import (
     is_matching_covered,
     maximum_matching,
 )
-from matchcover.multigraph import MultiGraph
+from matchcover.multigraph import MultiGraph, canonical_form
 from matchcover.structure import _even_2cuts, canonical_partition, even_2cuts
 
 from conftest import _CORPUS, random_mc_graph
@@ -465,6 +467,57 @@ def test_first_barrier_cut_skips_the_two_separation_phase(monkeypatch):
     # Reading the whole stream does run it.
     assert tight_cut_candidates(g)[0] == cut
     assert offered == [g]
+
+
+def test_tight_cut_candidates_returns_a_fresh_list_of_shared_cuts():
+    g = named_graph("C8")
+    first = tight_cut_candidates(g)
+    second = tight_cut_candidates(g)
+    assert first is not second and len(first) > 1
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    expected = list(first)
+    first.clear()
+    assert tight_cut_candidates(g) == expected
+
+
+def test_uniqueness_suite_reads_each_stream_and_leaf_form_once(monkeypatch):
+    # Over one corpus pass, every strategy but the lazy first-cut search
+    # reads the cut stream of a graph through one memoized list, and each
+    # leaf's canonical form is computed once, however many strategies
+    # reach that leaf graph.
+    full_reads: Counter = Counter()
+    graphs = []  # kept alive so that no two graphs share an id
+    lazy = find_nontrivial_tight_cut.__wrapped__.__code__
+    stream = matchcover.cuts._tight_cuts
+
+    def spy(g):
+        graphs.append(g)
+        if sys._getframe(1).f_code is not lazy:
+            full_reads[id(g)] += 1
+        return stream(g)
+
+    leaves, forms = [], []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is matchcover.cuts._leaf_form.__wrapped__.__code__:
+            leaves.append(frame.f_locals["h"])
+        elif frame.f_code is canonical_form.__code__:
+            forms.append(frame.f_locals["g"])
+
+    monkeypatch.setattr(matchcover.cuts, "_tight_cuts", spy)
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "corpus"
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["corpus", "--check", "uniqueness", "--dir", str(corpus)])
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert full_reads and set(full_reads.values()) == {1}
+    assert leaves and len({id(h) for h in leaves}) == len(leaves)
+    assert len(forms) == len(leaves)
 
 
 def test_vertex_connectivity_is_exported():
