@@ -336,7 +336,10 @@ def find_nontrivial_tight_cut(g: MultiGraph) -> Optional[Cut]:
 
 @_memoized
 def _candidates(g: MultiGraph) -> tuple[Cut, ...]:
-    return tuple(_tight_cuts(g))
+    # The stream's first cut equals the memoized first-cut answer; that
+    # object heads the tuple, so its contractions and leaf forms are shared.
+    cuts = tuple(_tight_cuts(g))
+    return (find_nontrivial_tight_cut(g), *cuts[1:]) if cuts else ()
 
 
 def tight_cut_candidates(g: MultiGraph) -> list[Cut]:

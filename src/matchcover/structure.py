@@ -3,9 +3,12 @@ vertex connectivity.  The partition, the even 2-cuts and the
 connectivity are memoized per graph.  The canonical partition takes one
 failed alternating search per part on the matching engine's cached
 perfect matching; the even 2-cuts are read off the equivalence classes,
-so both need a matching covered graph.  Connectivity follows Even's
-scheme: at most (kappa+1)*n unit-capacity flows on one vertex-split
-array network, each capped at the least value found so far."""
+so both need a matching covered graph.  Connectivity follows
+Esfahanian and Hakimi: unit-capacity flows on one vertex-split array
+network from one vertex v of least degree delta to each vertex not
+adjacent to it, and between each nonadjacent pair of its neighbours,
+at most (n - delta - 1) + delta*(delta - 1)/2 flows, each capped at the
+least value found so far."""
 
 from __future__ import annotations
 
@@ -182,29 +185,32 @@ def _capped_flow(
 def vertex_connectivity(g: MultiGraph) -> int:
     """kappa(g): parallel edges collapse; disconnected graphs give 0, K2 gives 1.
 
-    Even's scheme: with vertices v_1 .. v_n and ``best`` the least local
-    connectivity found so far (n - 1 to start), run flows from v_1, v_2,
-    ... in turn, each to the later vertices not adjacent to it, while
-    fewer than ``best`` sources are done; each flow stops at ``best``
-    augmenting paths, as a larger one cannot lower the minimum.  Some
-    v_i among v_1 .. v_{kappa+1} lies outside a minimum separator S; for
-    the least such i, v_1 .. v_{i-1} lie in S, so the far side of S holds
-    some later v_j, not adjacent to v_i, and that pair's flow is kappa.
-    So at most kappa+1 sources and (kappa+1)*n flows are needed.
+    Esfahanian and Hakimi's scheme: take a vertex v of least degree
+    delta, start from ``best = delta`` (N(v) separates v from any vertex
+    not adjacent to it), and run one flow from v to each vertex not
+    adjacent to v, then one between each nonadjacent pair of v's
+    neighbours; each flow stops at ``best`` augmenting paths, as a larger
+    one cannot lower the minimum.  Let S be a minimum separator.  If v
+    lies outside some such S, a vertex beyond S is not adjacent to v,
+    and that pair's flow is kappa.  If v lies in every one, S - v
+    separates nothing, so v has neighbours in two components of g - S;
+    they are not adjacent, and their flow is kappa.  So at most
+    (n - delta - 1) + delta*(delta - 1)/2 flows are needed.
     """
     n = g.n
     if n <= 1 or not g.is_connected:
         return 0
     nbrs = g._adjacency()[1]
-    if all(len(row) == n - 1 for row in nbrs):
-        return n - 1
+    v = min(range(n), key=lambda i: len(nbrs[i]))
+    best = len(nbrs[v])
+    if best == n - 1:
+        return best
     head, cap, arcs = _split_network(nbrs)
-    best = n - 1
-    i = 0
-    while i < best:
-        adjacent = set(nbrs[i])
-        for j in range(i + 1, n):
-            if j not in adjacent:
-                best = min(best, _capped_flow(head, cap, arcs, 2 * i + 1, 2 * j, best))
-        i += 1
+    adjacent = set(nbrs[v])
+    for j in range(n):
+        if j != v and j not in adjacent:
+            best = min(best, _capped_flow(head, cap, arcs, 2 * v + 1, 2 * j, best))
+    for a, b in combinations(nbrs[v], 2):
+        if b not in nbrs[a]:
+            best = min(best, _capped_flow(head, cap, arcs, 2 * a + 1, 2 * b, best))
     return best

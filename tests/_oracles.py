@@ -36,6 +36,9 @@ cut stream on every call.  ``incidence_components`` /
 incidence lists through ``other_end`` (the bipartition after a
 components pass), and ``simple_is_c4`` the earlier C4 test of a
 decomposition leaf, on its ``underlying_simple`` graph.
+``even_vertex_connectivity`` keeps the earlier connectivity, Even's
+scheme of up to (kappa+1)*n capped flows on the library's own network;
+``brute_vertex_connectivity`` decides the same by subset enumeration.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from matchcover.matching import (
 )
 from matchcover.multigraph import CanonicalForm, Cut, MultiGraph, _find
 from matchcover.splicing import _support
+from matchcover.structure import _capped_flow, _split_network
 
 _T = TypeVar("_T")
 
@@ -335,6 +339,30 @@ def brute_vertex_connectivity(g: MultiGraph) -> int:
         if any(separates(frozenset(s)) for s in combinations(g.vertices, k)):
             return k
     return g.n
+
+
+def even_vertex_connectivity(g: MultiGraph) -> int:
+    """kappa(g) by Even's scheme, the library's earlier body: with
+    ``best`` the least local connectivity found so far (n - 1 to
+    start), run capped flows from v_1, v_2, ... in turn, each to the
+    later vertices not adjacent to it, while fewer than ``best`` sources
+    are done; at most (kappa+1)*n flows."""
+    n = g.n
+    if n <= 1 or not g.is_connected:
+        return 0
+    nbrs = g._adjacency()[1]
+    if all(len(row) == n - 1 for row in nbrs):
+        return n - 1
+    head, cap, arcs = _split_network(nbrs)
+    best = n - 1
+    i = 0
+    while i < best:
+        adjacent = set(nbrs[i])
+        for j in range(i + 1, n):
+            if j not in adjacent:
+                best = min(best, _capped_flow(head, cap, arcs, 2 * i + 1, 2 * j, best))
+        i += 1
+    return best
 
 
 def brute_matchable_minus(g: MultiGraph, removed) -> bool:

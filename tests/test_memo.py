@@ -520,6 +520,44 @@ def test_uniqueness_suite_reads_each_stream_and_leaf_form_once(monkeypatch):
     assert len(forms) == len(leaves)
 
 
+@pytest.mark.parametrize("first_cut_first", [True, False])
+def test_candidate_list_starts_with_the_memoized_first_cut(first_cut_first):
+    g = named_graph("C8")
+    if first_cut_first:
+        first = find_nontrivial_tight_cut(g)
+        assert tight_cut_candidates(g)[0] is first
+    else:
+        head = tight_cut_candidates(g)[0]
+        assert find_nontrivial_tight_cut(g) is head
+
+
+def test_uniqueness_suite_shares_the_first_cut_with_the_full_list(monkeypatch):
+    # A chooser that picks the head of the full list gets the "first"
+    # strategy's cut object, so the contractions and leaf forms below it
+    # are built once (142 contractions and 123 canonical forms when the
+    # list held a cut of its own).
+    calls: Counter = Counter()
+    contract = MultiGraph.contract
+    form = matchcover.cuts.canonical_form
+
+    def counted_contract(self, *args):
+        calls["contract"] += 1
+        return contract(self, *args)
+
+    def counted_form(g):
+        calls["canonical_form"] += 1
+        return form(g)
+
+    monkeypatch.setattr(MultiGraph, "contract", counted_contract)
+    monkeypatch.setattr(matchcover.cuts, "canonical_form", counted_form)
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "corpus"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["corpus", "--check", "uniqueness", "--dir", str(corpus)])
+    assert code == 0
+    assert 0 < calls["contract"] <= 128
+    assert 0 < calls["canonical_form"] <= 110
+
+
 def test_vertex_connectivity_is_exported():
     assert "vertex_connectivity" in matchcover.__all__
     assert matchcover.vertex_connectivity(named_graph("K4")) == 3

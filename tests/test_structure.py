@@ -22,6 +22,7 @@ from _oracles import (
     brute_canonical_partition,
     brute_even_2cuts,
     brute_vertex_connectivity,
+    even_vertex_connectivity,
     pairwise_canonical_partition,
     pairwise_is_bicritical,
 )
@@ -369,6 +370,71 @@ def test_vertex_connectivity_runs_at_most_kappa_plus_one_times_n_flows(monkeypat
     kappa = vertex_connectivity(g)
     assert kappa == 5
     assert len(flows) <= (kappa + 1) * g.n
+    assert len(flows) == len(set(flows))
+
+
+_FINALS = ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 3), (4, 4))
+
+
+def _disjoint_union(g: MultiGraph, h: MultiGraph) -> MultiGraph:
+    shift = g.n
+    return MultiGraph(
+        g.n + h.n,
+        [g.endpoints(e) for e in g.edge_ids]
+        + [(u + shift, v + shift) for u, v in (h.endpoints(e) for e in h.edge_ids)],
+    )
+
+
+def test_vertex_connectivity_agrees_with_even_scheme():
+    # Even's scheme is exact at every size, so it reaches the orders that
+    # the subset enumeration of brute_vertex_connectivity cannot.
+    rng = random.Random(20261019)
+    graphs = [build_high_kappa_epsilon(p, q).final for p, q in _FINALS]
+    graphs += [named_graph(f"K{k},{k}") for k in range(1, 8)]
+    for _ in range(60):
+        n = rng.randint(10, 64)
+        g = _random_simple_graph(rng, n, rng.uniform(2.5 / n, 0.35), rng.choice((0.0, 0.2)))
+        if rng.random() < 0.2:
+            g = _disjoint_union(g, _random_simple_graph(rng, rng.randint(1, 8), 0.6))
+        graphs.append(g)
+    kappas = [vertex_connectivity(g) for g in graphs]
+    assert kappas == [even_vertex_connectivity(g) for g in graphs]
+    assert kappas[:7] == [3, 3, 3, 4, 4, 5, 5]
+    assert kappas[7:14] == list(range(1, 8))
+    random_graphs = graphs[14:]
+    assert sum(g.m > g.underlying_simple().m for g in random_graphs) >= 10
+    assert sum(not g.is_connected for g in random_graphs) >= 10
+    assert len(set(kappas[14:])) >= 4
+
+
+def test_vertex_connectivity_when_the_least_degree_vertex_is_in_every_minimum_separator():
+    # Two K6 joined only through v = 13, which meets two vertices of each:
+    # v is the one vertex of least degree (4), and {v} is the only
+    # minimum separator, so only the flow between two of v's neighbours,
+    # one in each K6, sees kappa = 1 < delta.
+    edges = list(combinations(range(1, 7), 2)) + list(combinations(range(7, 13), 2))
+    g = MultiGraph(13, edges + [(13, 1), (13, 2), (13, 7), (13, 8)])
+    assert min(g.degree(v) for v in g.vertices) == g.degree(13) == 4
+    assert vertex_connectivity(g) == 1
+    assert brute_vertex_connectivity(g) == even_vertex_connectivity(g) == 1
+
+
+def test_vertex_connectivity_runs_at_most_the_least_degree_bound_of_flows(monkeypatch):
+    g = build_high_kappa_epsilon(4, 4).final  # a new graph, so nothing is memoized yet
+    flows = []
+    capped_flow = structure._capped_flow
+
+    def counted(*args):
+        flows.append(args[3:5])
+        return capped_flow(*args)
+
+    monkeypatch.setattr(structure, "_capped_flow", counted)
+    assert vertex_connectivity(g) == 5
+    simple = g.underlying_simple()
+    delta = min(simple.degree(v) for v in simple.vertices)
+    bound = (g.n - delta - 1) + delta * (delta - 1) // 2
+    assert bound == 68
+    assert len(flows) <= bound
     assert len(flows) == len(set(flows))
 
 
