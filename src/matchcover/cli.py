@@ -325,7 +325,6 @@ def _trace_payload(trace, verification: Optional[dict]) -> dict:
         "p": trace.p,
         "q": trace.q,
         "anchor": trace.anchor,
-        "misrouted": trace.misrouted,
         "files": {
             "base": "base.g",
             "g0": "g0.g",
@@ -354,11 +353,8 @@ def _trace_payload(trace, verification: Optional[dict]) -> dict:
 def cmd_construct(args) -> int:
     if args.p is None or args.q is None:
         raise DomainError("construct needs --p and --q")
-    base = anchor = None
-    if args.brace:
-        base, _, _ = _load(args.brace)
-        if args.anchor is not None:
-            anchor = _parse_vertex(args.anchor)
+    base = _load(args.brace)[0] if args.brace else None
+    anchor = None if args.anchor is None else _parse_vertex(args.anchor)
     trace = build_high_kappa_epsilon(args.p, args.q, base, anchor)
     outdir = Path(args.out or f"construct-p{args.p}-q{args.q}")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -522,7 +518,9 @@ def _build_parser() -> _Parser:
     p_construct.add_argument("--p", type=int, help="connectivity target, >= 2")
     p_construct.add_argument("--q", type=int, help="epsilon target, >= 2")
     p_construct.add_argument("--brace", help="base brace graph file (default K_{p+1,p+1})")
-    p_construct.add_argument("--anchor", help="marked vertex of the base brace")
+    p_construct.add_argument(
+        "--anchor", help="marked vertex of the base brace (default its least vertex)"
+    )
     p_construct.add_argument(
         "--verify", action="store_true", help="re-derive every claim on the trace"
     )

@@ -203,7 +203,8 @@ def _brace_obstruction(
     # the matching minus b2's edge is maximum in h = g - a1 - a2 - b1 - b2, and
     # the A-vertices that a failed search from b2's mate labels outer are the A
     # side of the Gallai-Edmonds set D(h): |N_h(S)| = |S| - 1.
-    index, adj, cached = _engine(g)
+    index, adj = g._adjacency()
+    cached = _engine(g)
     verts = g.vertices
     a_side = sorted(index[a] for a in parts[0])
     b_side = sorted(index[b] for b in parts[1])
@@ -265,14 +266,12 @@ def _brick_certificate(g: MultiGraph) -> bool:
     return vertex_connectivity(g) >= 3 and is_bicritical(g)
 
 
-def _odd_nontrivial_shores(
-    g: MultiGraph, limit: int, refusal: str
-) -> Iterator[frozenset[int]]:
+def _odd_nontrivial_shores(g: MultiGraph, refusal: str) -> Iterator[frozenset[int]]:
     # Each cut appears once: enumerate only shores holding the minimum vertex.
-    if g.n > limit:
+    if g.n > EXHAUSTIVE_LIMIT:
         raise CapabilityError(
-            f"{refusal} limited to {limit} vertices, got {g.n} "
-            f"(default cuts.EXHAUSTIVE_LIMIT; pass limit= to raise it)"
+            f"{refusal} limited to {EXHAUSTIVE_LIMIT} vertices, got {g.n} "
+            f"(cuts.EXHAUSTIVE_LIMIT)"
         )
     verts = g.vertices
     v0, rest = verts[0], verts[1:]
@@ -281,13 +280,13 @@ def _odd_nontrivial_shores(
             yield frozenset((v0,) + combo)
 
 
-def exhaustive_nontrivial_tight_cut(
-    g: MultiGraph, *, limit: int = EXHAUSTIVE_LIMIT
-) -> Optional[Cut]:
+def exhaustive_nontrivial_tight_cut(g: MultiGraph) -> Optional[Cut]:
     """First nontrivial tight cut by raw odd-shore enumeration; the
-    cross-check authority for the certified search."""
+    cross-check authority for the certified search.  Past
+    ``EXHAUSTIVE_LIMIT`` vertices (read at call time) it raises
+    ``CapabilityError``."""
     refusal = "exhaustive tight-cut search: tightness undecided,"
-    for shore in _odd_nontrivial_shores(g, limit, refusal):
+    for shore in _odd_nontrivial_shores(g, refusal):
         cut = g.cut(shore)
         if is_tight_cut(g, cut):
             return cut
@@ -464,9 +463,7 @@ def _first_cut_decomposition(g: MultiGraph) -> DecompositionResult:
     return _decompose(g, find_nontrivial_tight_cut, "tight")
 
 
-def nontrivial_separating_cut(
-    g: MultiGraph, *, limit: int = EXHAUSTIVE_LIMIT
-) -> Optional[Cut]:
+def nontrivial_separating_cut(g: MultiGraph) -> Optional[Cut]:
     """Some nontrivial separating cut, or None when none exists.
 
     Tight cuts are separating, so the cheap search runs first.  A
@@ -474,14 +471,15 @@ def nontrivial_separating_cut(
     separating cut either (both contractions of a separating cut stay
     bipartite, which forces every cut edge to leave the same color
     class, so every perfect matching crosses exactly once).  For bricks
-    the odd shores are scanned exhaustively.
+    the odd shores are scanned exhaustively, which past
+    ``EXHAUSTIVE_LIMIT`` vertices raises ``CapabilityError``.
     """
     cut = find_nontrivial_tight_cut(g)
     if cut is not None:
         return cut
     if g.is_bipartite:
         return None
-    for shore in _odd_nontrivial_shores(g, limit, "separating cut search: odd-shore scan"):
+    for shore in _odd_nontrivial_shores(g, "separating cut search: odd-shore scan"):
         cand = g.cut(shore)
         if is_separating_cut(g, cand):
             return cand

@@ -27,7 +27,7 @@ import dataclasses
 from typing import Iterable
 
 from .errors import DomainError, VerificationError
-from .matching import _augment, _engine, _pm_minus, _require_mc, _signatures, has_pm_containing
+from .matching import _augment, _pm_minus, _require_mc, _signatures, has_pm_containing
 from .multigraph import MultiGraph, _memoized
 
 
@@ -44,7 +44,7 @@ def _depends(g: MultiGraph, e: int, f: int) -> bool:
     match = _pm_minus(g, frozenset((a, b)))
     if match is None:
         return True  # e is in no perfect matching
-    index, adj, _ = _engine(g)
+    index, adj = g._adjacency()
     u, v = g.endpoints(f)
     c, d = index[u], index[v]
     if match[c] != d or len(g.edges_between(u, v)) > 1:

@@ -21,14 +21,9 @@ import dataclasses
 import re
 from typing import Callable, Mapping, Optional
 
-from .cuts import (
-    EXHAUSTIVE_LIMIT,
-    classify,
-    exhaustive_nontrivial_tight_cut,
-    is_tight_cut,
-)
+from .cuts import classify, exhaustive_nontrivial_tight_cut, is_tight_cut
 from .dependence import _depends, is_equivalence_class
-from .errors import DomainError, MatchcoverError, VerificationError
+from .errors import CapabilityError, DomainError, MatchcoverError, VerificationError
 from .matching import is_matching_covered, maximum_matching
 from .multigraph import Cut, MultiGraph
 from .splicing import SpliceSpec, splice
@@ -197,7 +192,6 @@ class ConstructionTrace:
     block_v_mapped: tuple[frozenset[int], ...]  # V_i, ids in G_i
     f_local: tuple[int, ...]  # f_i in block-local ids
     b0: frozenset[int]
-    misrouted: bool = False
 
     @property
     def final(self) -> MultiGraph:
@@ -225,25 +219,17 @@ def build_high_kappa_epsilon(
     q: int,
     base: Optional[MultiGraph] = None,
     anchor: Optional[int] = None,
-    *,
-    misroute: bool = False,
 ) -> ConstructionTrace:
     """Run the construction for parameters p, q >= 2.
 
-    base defaults to K_{p+1,p+1} with anchor 1.  All vertex choices are
-    lowest-id, so traces are reproducible.  misroute=True deliberately
-    points one rung of each splice bijection away from its designated
-    receiver; the result still splices, but verify_trace must then fail
-    the merged-class checks (negative control).
+    base defaults to K_{p+1,p+1} and anchor to the base's least vertex;
+    an anchor that is not a vertex of the base raises ``DomainError``.
+    All vertex choices are lowest-id, so traces are reproducible.
     """
     if p < 2 or q < 2:
         raise DomainError("construction needs p >= 2 and q >= 2")
-    if base is None:
-        h = _complete_bipartite(p + 1, p + 1)
-        a = 1
-    else:
-        h = base
-        a = min(base.vertices) if anchor is None else anchor
+    h = _complete_bipartite(p + 1, p + 1) if base is None else base
+    a = min(h.vertices) if anchor is None else anchor
     _validate_base(h, a, p)
 
     parts = h.bipartition()
@@ -326,9 +312,6 @@ def build_high_kappa_epsilon(
         rest_j = [e for e in star_j if e not in set(cprime_here)]
         pi = dict(zip(c_here, cprime_here))
         pi.update(zip(rest_g, rest_j))
-        if misroute:
-            first_c, first_rest = c_here[0], rest_g[0]
-            pi[first_c], pi[first_rest] = pi[first_rest], pi[first_c]
         result = splice(SpliceSpec(current, a_i, block, u_local, pi))
         graphs.append(result.graph)
         cuts.append(result.cut)
@@ -360,7 +343,6 @@ def build_high_kappa_epsilon(
         block_v_mapped=tuple(block_v_mapped),
         f_local=tuple(f_local),
         b0=frozenset().union(*copy_b),
-        misrouted=misroute,
     )
 
 
@@ -381,9 +363,10 @@ def _brick_both_routes(j: MultiGraph) -> tuple[bool, str]:
     if j.is_bipartite:
         return False, "bipartite"
     fast = classify(j) == "brick"
-    if j.n > EXHAUSTIVE_LIMIT:
+    try:
+        exhaustive = exhaustive_nontrivial_tight_cut(j) is None
+    except CapabilityError:
         return fast, f"fast path {'passed' if fast else 'failed'}; exhaustive scan skipped at {j.n} vertices"
-    exhaustive = exhaustive_nontrivial_tight_cut(j) is None
     if fast != exhaustive:
         return False, f"routes disagree: fast={fast}, exhaustive={exhaustive}"
     return fast, "fast path and exhaustive scan agree"

@@ -148,11 +148,11 @@ def _augment(
 
 
 @_memoized
-def _engine(g: MultiGraph) -> tuple[dict[int, int], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The graph's ``_adjacency`` (the vertex index map and the simple
-    adjacency lists over indices) and one maximum matching as a mate
-    tuple (-1 for exposed vertices) that queries copy and never mutate."""
-    index, adj = g._adjacency()
+def _engine(g: MultiGraph) -> tuple[int, ...]:
+    """One maximum matching of g over the indices of ``g._adjacency()``,
+    as a mate tuple (-1 for exposed vertices) that queries copy and
+    never mutate."""
+    adj = g._adjacency()[1]
     match = [-1] * g.n
     # Greedy seed matching: cheap, cuts the number of searches.
     for v, nbrs in enumerate(adj):
@@ -165,7 +165,7 @@ def _engine(g: MultiGraph) -> tuple[dict[int, int], tuple[tuple[int, ...], ...],
     for v in range(g.n):
         if match[v] == -1:
             _augment(adj, match, v, ())
-    return index, adj, tuple(match)
+    return tuple(match)
 
 
 def maximum_matching(g: MultiGraph) -> frozenset[int]:
@@ -177,7 +177,7 @@ def maximum_matching(g: MultiGraph) -> frozenset[int]:
     verts = g.vertices
     return frozenset(
         min(g.edges_between(verts[i], verts[j]))
-        for i, j in enumerate(_engine(g)[2])
+        for i, j in enumerate(_engine(g))
         if j > i
     )
 
@@ -193,7 +193,8 @@ def _pm_minus(g: MultiGraph, gone: frozenset[int]) -> list[int] | None:
         raise DomainError(f"unknown vertices: {sorted(gone - g._vset)}")
     if (g.n - len(gone)) % 2 == 1:
         return None
-    index, adj, cached = _engine(g)
+    index, adj = g._adjacency()
+    cached = _engine(g)
     dead = {index[v] for v in gone}
     match = list(cached)
     # The exposed vertices of g - S: the mates of S, once unmatched, and
@@ -262,7 +263,8 @@ def _signatures(g: MultiGraph) -> dict[int, int]:
     signatures can be mutually dependent.  Parallel edges share a pair,
     hence a signature: any of them completes the same matchings.
     """
-    index, _, cached = _engine(g)
+    index = g._adjacency()[0]
+    cached = _engine(g)
     if -1 in cached:
         return dict.fromkeys(g.edge_ids, 0)
     pairs = {e: (index[u], index[v]) for e, (u, v) in g.edge_items()}
@@ -317,14 +319,15 @@ def _require_mc(g: MultiGraph, what: str) -> None:
 # -- perfect matching enumeration -------------------------------------------
 
 
-def enumerate_pms(g: MultiGraph, budget: int | None = None) -> list[frozenset[int]]:
+def enumerate_pms(g: MultiGraph) -> list[frozenset[int]]:
     """All perfect matchings, as edge-id sets.
 
     Branch and bound on the lowest-id uncovered vertex; branches whose
     remainder is unmatchable are pruned, so the tree size is proportional
-    to the output.  More than ``budget`` matchings aborts loudly.
+    to the output.  More than ``pm_budget()`` matchings (read at call
+    time) raises ``CapabilityError``.
     """
-    limit = pm_budget() if budget is None else budget
+    limit = pm_budget()
     if g.n % 2 == 1:
         return []
     results: list[frozenset[int]] = []
@@ -338,8 +341,7 @@ def enumerate_pms(g: MultiGraph, budget: int | None = None) -> list[frozenset[in
                 raise CapabilityError(
                     f"perfect matching enumeration: limited to {limit} matchings, "
                     f"found more (default matching.DEFAULT_PM_BUDGET; set "
-                    f"{BUDGET_ENV_VAR} or pass budget= to raise it, or use the "
-                    f"polynomial predicates)"
+                    f"{BUDGET_ENV_VAR} to raise it, or use the polynomial predicates)"
                 )
             return
         if not matchable_minus(g, covered):

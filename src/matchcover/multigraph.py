@@ -202,18 +202,17 @@ class MultiGraph:
     # -- derived graphs --------------------------------------------------
 
     def _derived(
-        self, vertices: Iterable[int], endpoints: Mapping[int, tuple[int, int]],
-        edge_labels: Mapping[int, str] | None = None,
+        self, vertices: Iterable[int], endpoints: Mapping[int, tuple[int, int]]
     ) -> "MultiGraph":
         # Ids stay stable: new ones start past every id this graph issued,
         # and surviving edges keep their labels.
         return MultiGraph.with_ids(
             vertices, endpoints,
             next_vertex_id=self._next_vertex, next_edge_id=self._next_edge,
-            edge_labels=self.edge_labels if edge_labels is None else edge_labels,
+            edge_labels=self.edge_labels,
         )
 
-    def add_edge(self, u: int, v: int, *, label: str | None = None) -> tuple["MultiGraph", int]:
+    def add_edge(self, u: int, v: int) -> tuple["MultiGraph", int]:
         if u == v:
             raise DomainError(f"loop at vertex {u} not allowed")
         if u not in self._vset or v not in self._vset:
@@ -221,10 +220,7 @@ class MultiGraph:
         e = self._next_edge
         endpoints = dict(self._endpoints)
         endpoints[e] = (u, v)
-        elabels = dict(self.edge_labels)
-        if label is not None:
-            elabels[e] = label
-        return self._derived(self._vertices, endpoints, elabels), e
+        return self._derived(self._vertices, endpoints), e
 
     def delete_edges(self, ids: Iterable[int]) -> "MultiGraph":
         drop = set(ids)

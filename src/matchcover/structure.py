@@ -44,7 +44,8 @@ def canonical_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
     engine bug surfaces as a hard error rather than a wrong partition.
     """
     _require_mc(g, "canonical partition")
-    _, adj, cached = _engine(g)
+    adj = g._adjacency()[1]
+    cached = _engine(g)
     verts = g.vertices
     parts: list[frozenset[int]] = []
     done: set[int] = set()

@@ -270,6 +270,29 @@ def test_out_naming_a_plain_file_is_an_input_error(tmp_path, capsys, argv):
     assert afile.read_text() == ""
 
 
+def test_construct_reads_the_anchor_without_a_brace(tmp_path, capsys):
+    # The default base K3,3 is marked at --anchor as given; trace.json
+    # records it and carries no "misrouted" key.
+    out_dir = tmp_path / "c"
+    code, out, _ = run(
+        capsys, "construct", "--p", "2", "--q", "2", "--anchor", "4", "--verify",
+        "--out", str(out_dir),
+    )
+    assert code == 0 and "FAIL" not in out
+    trace = json.loads((out_dir / "trace.json").read_text())
+    assert trace["anchor"] == 4 and "misrouted" not in trace
+
+
+def test_construct_refuses_an_anchor_outside_the_default_brace(tmp_path, capsys):
+    out_dir = tmp_path / "c"
+    code, out, err = run(
+        capsys, "construct", "--p", "2", "--q", "2", "--anchor", "99", "--out", str(out_dir)
+    )
+    assert code == 1 and out == ""
+    assert "anchor 99 is not a vertex of the base graph" in err
+    assert not out_dir.exists()
+
+
 def test_construct_rejects_p_below_two(capsys):
     code, _, err = run(capsys, "construct", "--p", "1", "--q", "2")
     assert code == 1

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matchcover.cli
+import matchcover.cuts
 from matchcover.cuts import (
     EXHAUSTIVE_LIMIT,
     _bipartite_tight_cut,
@@ -124,35 +125,38 @@ def test_exhaustive_limit():
     assert fast is not None and is_tight_cut(g, slow) and is_tight_cut(g, fast)
     refusal = (
         r"exhaustive tight-cut search: .*limited to 24 vertices, got 26 "
-        r"\(default cuts\.EXHAUSTIVE_LIMIT; pass limit= to raise it\)"
+        r"\(cuts\.EXHAUSTIVE_LIMIT\)$"
     )
     with pytest.raises(CapabilityError, match=refusal):
         exhaustive_nontrivial_tight_cut(named_graph("C26"))
 
 
 @pytest.mark.parametrize("n", [EXHAUSTIVE_LIMIT, EXHAUSTIVE_LIMIT + 2])
-def test_fast_tight_cut_agrees_with_exhaustive_around_the_limit(n):
-    # Sparse graphs at the limit and past it (where the scan needs
-    # limit=), bipartite ones found by the 2-separation pass and spliced
-    # nonbipartite ones; the scan ends at its first tight shore.
+def test_fast_tight_cut_agrees_with_exhaustive_around_the_limit(n, monkeypatch):
+    # Sparse graphs at the limit and past it (where the scan needs the
+    # limit raised to n), bipartite ones found by the 2-separation pass
+    # and spliced nonbipartite ones; the scan ends at its first tight shore.
     for g in sparse_mc_graphs(n):
         if n > EXHAUSTIVE_LIMIT:
             with pytest.raises(CapabilityError):
                 exhaustive_nontrivial_tight_cut(g)
-        slow = exhaustive_nontrivial_tight_cut(g, limit=n)
+        with monkeypatch.context() as m:
+            m.setattr(matchcover.cuts, "EXHAUSTIVE_LIMIT", n)
+            slow = exhaustive_nontrivial_tight_cut(g)
         fast = find_nontrivial_tight_cut(g)
         assert fast is not None and slow is not None
         assert is_tight_cut(g, fast) and not fast.is_trivial
 
 
-def test_separating_cut_refusal_names_phase_limit_and_setting():
+def test_separating_cut_refusal_names_phase_limit_and_setting(monkeypatch):
     # The Petersen graph is a brick, so only the odd-shore scan is left.
+    monkeypatch.setattr(matchcover.cuts, "EXHAUSTIVE_LIMIT", 8)
     refusal = (
         r"separating cut search: .*limited to 8 vertices, got 10 "
-        r"\(default cuts\.EXHAUSTIVE_LIMIT; pass limit= to raise it\)"
+        r"\(cuts\.EXHAUSTIVE_LIMIT\)$"
     )
     with pytest.raises(CapabilityError, match=refusal):
-        nontrivial_separating_cut(named_graph("petersen"), limit=8)
+        nontrivial_separating_cut(named_graph("petersen"))
 
 
 def test_separating_cut_examples():

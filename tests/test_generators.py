@@ -1,7 +1,9 @@
+import dataclasses
 import sys
 
 import pytest
 
+import matchcover.cuts
 import matchcover.generators
 from matchcover.cuts import classify, is_separating_cut, is_tight_cut
 from matchcover.dependence import equivalence_partition, is_equivalence_class
@@ -144,8 +146,49 @@ def test_verify_trace_custom_base():
     assert all(row["ok"] for row in report.values())
 
 
-def test_misroute_fails_verification():
-    t = build_high_kappa_epsilon(2, 2, misroute=True)
+def _misrouted(p, q, monkeypatch):
+    # The negative control: each splice bijection swaps the images of its
+    # least rung (the edge pi sends to a C' spoke) and its least other
+    # star edge, so one rung misses its designated receiver.  The result
+    # still splices, but verify_trace must fail the merged-class checks.
+    splice = matchcover.generators.splice
+
+    def swapped(spec):
+        rungs = [e for e, f in spec.pi.items() if spec.g2.edge_labels.get(f, "").startswith("C'")]
+        c, rest = min(rungs), min(e for e in spec.pi if e not in rungs)
+        pi = dict(spec.pi)
+        pi[c], pi[rest] = pi[rest], pi[c]
+        return splice(dataclasses.replace(spec, pi=pi))
+
+    with monkeypatch.context() as m:
+        m.setattr(matchcover.generators, "splice", swapped)
+        return build_high_kappa_epsilon(p, q)
+
+
+@pytest.mark.parametrize("p,q,anchor", [(2, 2, 4), (2, 3, 6), (3, 3, 5)])
+def test_anchor_without_a_base_marks_that_vertex_of_the_default_brace(p, q, anchor):
+    t = build_high_kappa_epsilon(p, q, anchor=anchor)
+    assert t.anchor == anchor and t.base.n == 2 * (p + 1)
+    assert all(row["ok"] for row in verify_trace(t).values())
+
+
+def test_anchor_outside_the_default_brace_is_refused():
+    with pytest.raises(DomainError, match="anchor 99 is not a vertex of the base graph"):
+        build_high_kappa_epsilon(2, 2, anchor=99)
+
+
+def test_brick_check_reads_the_scan_refusal_for_its_size_limit(monkeypatch):
+    # The exhaustive size limit is the cuts module's alone; the brick
+    # check of verify_trace skips the scan when the scan refuses.
+    brick = matchcover.generators._brick_both_routes
+    assert brick(named_graph("petersen")) == (True, "fast path and exhaustive scan agree")
+    monkeypatch.setattr(matchcover.cuts, "EXHAUSTIVE_LIMIT", 8)
+    skipped = "fast path passed; exhaustive scan skipped at 10 vertices"
+    assert brick(named_graph("petersen")) == (True, skipped)
+
+
+def test_misroute_fails_verification(monkeypatch):
+    t = _misrouted(2, 2, monkeypatch)
     with pytest.raises(VerificationError) as exc_info:
         verify_trace(t)
     report = exc_info.value.report
@@ -163,7 +206,7 @@ def test_inadmissibility_checks_match_the_deletion_oracle(p, q, misroute, monkey
     # the earlier body asked the graph g - F.  The verdicts agree on
     # every check of well-built and misrouted traces alike, and, where F
     # is one edge or one class, on every other edge of g as targets.
-    t = build_high_kappa_epsilon(p, q, misroute=misroute)
+    t = _misrouted(p, q, monkeypatch) if misroute else build_high_kappa_epsilon(p, q)
     seen = []
 
     def both(g, removed, targets):
@@ -201,9 +244,9 @@ def test_verify_trace_builds_no_graph_minus_edges():
     assert calls == []
 
 
-def test_misrouted_graph_is_still_matching_covered():
+def test_misrouted_graph_is_still_matching_covered(monkeypatch):
     # the negative control corrupts the merge, not matching coveredness
-    t = build_high_kappa_epsilon(2, 2, misroute=True)
+    t = _misrouted(2, 2, monkeypatch)
     assert is_matching_covered(t.final)
 
 

@@ -128,14 +128,15 @@ def test_enumerate_pms_counts():
     assert len(enumerate_pms(named_graph("K3,3"))) == 6
 
 
-def test_enumerate_pms_budget():
+def test_enumerate_pms_budget(monkeypatch):
+    monkeypatch.setenv("MATCHCOVER_BUDGET", "10")
     refusal = (
         r"perfect matching enumeration: limited to 10 matchings, found more "
-        r"\(default matching\.DEFAULT_PM_BUDGET; set MATCHCOVER_BUDGET or "
-        r"pass budget= to raise it"
+        r"\(default matching\.DEFAULT_PM_BUDGET; set MATCHCOVER_BUDGET to "
+        r"raise it, or use the polynomial predicates\)$"
     )
     with pytest.raises(CapabilityError, match=refusal):
-        enumerate_pms(named_graph("K4,4"), budget=10)
+        enumerate_pms(named_graph("K4,4"))
 
 
 def test_budget_env_override(monkeypatch):
