@@ -5,10 +5,13 @@ Cut discovery is one lazy stream of verified cuts: cheap complete
 phases first (barrier cuts, cuts from 2-vertex separations), then, only
 when both are empty, an exact leaf certificate.  The 2-vertex
 separations come from the articulation points of each g - u, one
-depth-first search per vertex (Hopcroft-Tarjan).  Bipartite graphs are
-certified by the brace characterization (a failing 4-tuple deletion
-yields a Hall-type set S with |N(S)| = |S| + 1 whose closed neighborhood
-is a verified tight shore); the 4-tuples are settled by one
+depth-first search per vertex (Hopcroft-Tarjan).  A bipartite graph is
+a brace when its matching digraph D(g, M) minus any one node stays
+strongly connected (n/2 pairs of reach passes, no search).  Any other
+bipartite graph is certified by the ordered brace scan, so the first
+cut does not depend on the digraph: the first failing 4-tuple deletion
+yields a Hall-type set S with |N(S)| = |S| + 1 whose closed
+neighborhood is a verified tight shore.  The 4-tuples are settled by one
 re-augmentation and one failed search of the matching engine per
 deleted triple, not one matchability query each, and S is the outer
 labels of one more failed search on that same matching.  Both passes
@@ -39,6 +42,7 @@ from .matching import (
     _augment,
     _engine,
     _require_mc,
+    _strongly_connected,
     has_pm_containing,
     is_matching_covered,
 )
@@ -239,9 +243,26 @@ def _brace_obstruction(
     return None
 
 
+def _is_brace(g: MultiGraph, parts: tuple[frozenset[int], frozenset[int]]) -> bool:
+    # A bipartite matching covered graph of order >= 6 is a brace iff it
+    # is 2-extendable, that is iff D(g, M) - x is strongly connected for
+    # every node x, with M the engine's matching: n/2 pairs of reach
+    # passes, each from another A-vertex than x.
+    index = g._adjacency()[0]
+    cached = _engine(g)
+    a_side = sorted(index[a] for a in parts[0])
+    return len(a_side) >= 3 and all(
+        _strongly_connected(g, cached, a_side[x == a_side[0]], skip=x) for x in a_side
+    )
+
+
 def _bipartite_tight_cut(
     g: MultiGraph, parts: tuple[frozenset[int], frozenset[int]]
 ) -> Optional[Cut]:
+    # Only a graph that is not a brace pays for the ordered scan, which
+    # finds the first obstruction.
+    if _is_brace(g, parts):
+        return None
     obstruction = _brace_obstruction(g, parts)
     if obstruction is None:
         return None

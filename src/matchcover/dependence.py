@@ -18,16 +18,28 @@ Removability is read off the memoized partition in one pass (Carvalho,
 Lucchesi and Murty 1999): a class R is removable exactly when no edge
 outside R depends on an edge of R and ``g - R`` is connected, and an
 edge is removable exactly when it is a removable singleton class.  So
-removability, like the partition, needs a matching covered graph.
+removability, like the partition, needs a matching covered graph.  On a
+bipartite graph the matching digraph of ``g - R`` decides R by two
+reach passes; on any other, the pass carries one growing table of
+perfect matchings, and only an edge that no table matching settles is
+asked of the graph ``g - R`` (``_removability``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, VerificationError
-from .matching import _augment, _pm_minus, _require_mc, _signatures, has_pm_containing
+from .matching import (
+    _adjacency_minus,
+    _augment,
+    _engine,
+    _pm_minus,
+    _require_mc,
+    _signatures,
+    _strongly_connected,
+)
 from .multigraph import MultiGraph, _memoized
 
 
@@ -153,40 +165,97 @@ def _require_removability(g: MultiGraph) -> None:
     _require_mc(g, "removability")
 
 
-def _removable(g: MultiGraph, r: frozenset[int]) -> bool:
-    """Is g - r matching covered, for r one edge or one class?
+def _removability(g: MultiGraph) -> Callable[[frozenset[int]], bool]:
+    """The test "is g - r matching covered?" for r one edge or one class.
 
     The edges of a class are mutually dependent, so a perfect matching
-    that avoids ``min(r)`` avoids all of r: an edge f outside r lies in
-    a perfect matching of g - r exactly when it does not depend on
-    ``min(r)``.  A matching covered graph of order >= 4 is 2-connected,
-    so g - e is connected for one edge e: only a larger class needs a
-    connectivity pass, and a single edge whose every candidate the pool
-    settles needs no g - e at all.
+    that avoids ``e = min(r)`` avoids all of r.  On a bipartite g one
+    such matching M' decides r: g - r is matching covered iff
+    D(g - r, M') is strongly connected.  On any other g, an edge f
+    outside r lies in a perfect matching of g - r exactly when it does
+    not depend on e, and g - r must be connected.  A table of witness
+    signatures, copied from g's pool, settles every f that some table
+    matching holds without e; each open f is asked of g - r's engine,
+    and the matching that answers joins the table, so it can settle the
+    candidates of later calls too.  g - r is built only for an open
+    candidate, and only a larger class needs a connectivity pass: a
+    matching covered graph of order >= 4 is 2-connected.  The table
+    lives as long as the returned test, not in g's memo.
     """
-    e = min(r)
-    sig = _signatures(g)
-    # A pool matching that holds f but not e is a perfect matching of
-    # g - r through f; only the other edges are asked of g - r's engine.
-    ask = [f for f in g.edge_ids if f not in r and not sig[f] & ~sig[e]]
-    if len(r) == 1 and not ask:
+    if g.is_bipartite:
+        return lambda r: _bipartite_removable(g, r)
+    sig = dict(_signatures(g))
+    index = g._adjacency()[0]
+    pairs = {f: (index[u], index[v]) for f, (u, v) in g.edge_items()}
+    bit = 1 << max(sig.values()).bit_length()  # the next unused bit
+
+    def removable(r: frozenset[int]) -> bool:
+        nonlocal bit
+        e = min(r)
+        if len(r) > 1 and not _connected_minus(g, r):
+            return False
+        rest = None
+        for f in g.edge_ids:
+            if f in r or sig[f] & ~sig[e]:
+                continue
+            if rest is None:
+                rest = g.delete_edges(r)
+            match = _pm_minus(rest, frozenset(rest.endpoints(f)))
+            if match is None:
+                return False
+            i, j = pairs[f]
+            match[i], match[j] = j, i
+            for h, (x, y) in pairs.items():
+                if match[x] == y:
+                    sig[h] |= bit
+            bit <<= 1
         return True
-    rest = g.delete_edges(r)
-    return (len(r) == 1 or rest.is_connected) and all(
-        has_pm_containing(rest, (f,)) for f in ask
-    )
+
+    return removable
+
+
+def _bipartite_removable(g: MultiGraph, r: frozenset[int]) -> bool:
+    # M' is the engine's matching when it misses e's pair, else one
+    # completed through another edge at an end of e.
+    index, adj = g._adjacency()
+    u, v = g.endpoints(min(r))
+    i, j = index[u], index[v]
+    match: Sequence[int] = _engine(g)
+    if match[i] == j:
+        w = next(w for w in adj[i] if w != j)
+        completed = _pm_minus(g, frozenset((u, g.vertices[w])))
+        if completed is None:
+            raise VerificationError("removability", f"edge {u}-{g.vertices[w]} is inadmissible")
+        completed[i], completed[w] = w, i
+        match = completed
+    return _strongly_connected(g, match, 0, r)
+
+
+def _connected_minus(g: MultiGraph, r: frozenset[int]) -> bool:
+    """Is g - r connected?  One breadth-first pass over its adjacency."""
+    adj = _adjacency_minus(g, r)
+    seen = [False] * g.n
+    seen[0] = True
+    queue = [0]
+    for x in queue:  # breadth first: the loop reaches what is appended
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                queue.append(y)
+    return len(queue) == g.n
 
 
 @_memoized
 def _removable_classes(g: MultiGraph) -> tuple[frozenset[int], ...]:
-    return tuple(c for c in equivalence_partition(g).classes if _removable(g, c))
+    removable = _removability(g)
+    return tuple(c for c in equivalence_partition(g).classes if removable(c))
 
 
 def is_removable_edge(g: MultiGraph, e: int) -> bool:
     """Is g - e still matching covered?"""
     _require_removability(g)
     _check_ids(g, e)
-    return _removable(g, frozenset((e,)))
+    return _removability(g)(frozenset((e,)))
 
 
 def removable_edges(g: MultiGraph) -> tuple[int, ...]:

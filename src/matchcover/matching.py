@@ -22,6 +22,14 @@ nonzero, which is how ``is_matching_covered`` reads it, and the
 dependence module refutes dependence between edges whose signatures
 differ.
 
+On a bipartite graph a perfect matching M also gives the matching
+digraph D(G, M), one node per vertex of a side and an arc a -> M(b) for
+each edge ab.  ``_strongly_connected`` decides whether D, less the edges
+deleted and one optional node, is strongly connected, by one forward
+and one backward reach pass: that reads matching-coveredness (the
+removability of a bipartite class) and, node by node, the brace
+property, with no alternating search.
+
 Parallel edges collapse in that adjacency (a matching never needs two
 parallel edges) and answers are lifted back to edge ids.  The
 signatures and the matching-covered verdict (``_mc_witness``: None, or
@@ -248,6 +256,60 @@ def is_admissible(g: MultiGraph, e: int) -> bool:
     if not g.has_edge_id(e):
         raise DomainError(f"unknown edge id {e}")
     return has_pm_containing(g, (e,))
+
+
+def _adjacency_minus(g: MultiGraph, gone: Collection[int]) -> tuple[tuple[int, ...], ...]:
+    """g's index adjacency lists without the vertex pairs all of whose
+    parallel edges are in ``gone`` (edge ids)."""
+    index, adj = g._adjacency()
+    rows = list(adj)
+    for u, v in {g.endpoints(f) for f in gone}:
+        if all(f in gone for f in g.edges_between(u, v)):
+            i, j = index[u], index[v]
+            rows[i] = tuple(w for w in rows[i] if w != j)
+            rows[j] = tuple(w for w in rows[j] if w != i)
+    return tuple(rows)
+
+
+def _strongly_connected(
+    g: MultiGraph, match: Sequence[int], root: int, gone: Collection[int] = (), skip: int = -1
+) -> bool:
+    """Is D(g - gone, match) minus the node ``skip`` strongly connected?
+
+    ``g`` is bipartite, ``gone`` a set of edge ids and ``match`` a
+    perfect matching of g - gone, as a mate sequence over the engine's
+    indices.  D has one node per vertex on ``root``'s side, with an arc
+    a -> match[b] for each edge ab of g - gone (``_adjacency_minus``);
+    ``skip`` is a node on that side other than ``root``, or -1.  One
+    forward and one backward reach pass from ``root`` decide it.
+
+    With M = match, g - gone is matching covered iff D is strongly
+    connected, and then, at order >= 6, a brace iff every D - x is
+    (Lakhal-Litzler 1998; Robertson-Seymour-Thomas 1999).
+    """
+    adj = _adjacency_minus(g, gone)
+    need = len(match) // 2 - (skip != -1)
+    for backward in (False, True):
+        seen = [False] * len(match)
+        seen[root] = True
+        if skip != -1:
+            seen[skip] = True
+        queue = [root]
+        for a in queue:  # breadth first: the loop reaches what is appended
+            if backward:  # the arcs into a leave the neighbours of its mate
+                for t in adj[match[a]]:
+                    if not seen[t]:
+                        seen[t] = True
+                        queue.append(t)
+            else:
+                for b in adj[a]:
+                    t = match[b]
+                    if not seen[t]:
+                        seen[t] = True
+                        queue.append(t)
+        if len(queue) < need:
+            return False
+    return True
 
 
 @_memoized

@@ -17,7 +17,10 @@ same query of every pair.  ``brute_removable_edges`` /
 ``brute_removable_classes`` keep the earlier removability, which asked
 the matching engine whether each ``g - e`` and each ``g - R`` is
 matching covered; ``pm_removable`` decides the same question from the
-perfect matchings alone.  ``brute_two_separation_candidates`` /
+perfect matchings alone, and ``pool_removable`` keeps the removability
+from before the matching digraph and the growing table: the candidates
+that g's signature pool leaves open, each asked of one ``g - R``
+engine, with a connectivity pass for a larger class.  ``brute_two_separation_candidates`` /
 ``brute_brace_obstruction`` keep the earlier tight-cut scans: one
 ``components`` pass per vertex pair, and one ``matchable_minus`` query
 per 4-tuple.  ``brute_hall_violator`` keeps the earlier Hall-set search
@@ -55,6 +58,7 @@ from matchcover.dependence import EquivalencePartition, _check_ids, equivalence_
 from matchcover.errors import CapabilityError, DomainError
 from matchcover.matching import (
     _require_mc,
+    _signatures,
     has_pm_containing,
     is_admissible,
     is_matching_covered,
@@ -224,6 +228,21 @@ def pm_removable(g: MultiGraph, removed: frozenset[int]) -> bool:
         return False
     covered = set().union(*(pm for pm in all_pms(g) if not pm & removed))
     return all(f in covered for f in g.edge_ids if f not in removed)
+
+
+def pool_removable(g: MultiGraph, r: frozenset[int]) -> bool:
+    """Is g - r matching covered, for r one edge or one class?  The
+    edges that no pool matching holds without ``min(r)`` are asked of
+    the engine of g - r."""
+    e = min(r)
+    sig = _signatures(g)
+    ask = [f for f in g.edge_ids if f not in r and not sig[f] & ~sig[e]]
+    if len(r) == 1 and not ask:
+        return True
+    rest = g.delete_edges(r)
+    return (len(r) == 1 or rest.is_connected) and all(
+        has_pm_containing(rest, (f,)) for f in ask
+    )
 
 
 def direct_is_tight(g: MultiGraph, cut_edges: frozenset[int]) -> bool:

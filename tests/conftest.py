@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +118,26 @@ def sparse_mc_graphs(n: int, count: int = 3) -> list[MultiGraph]:
         if spliced is not None:
             graphs.append(spliced)
     return graphs
+
+
+def _load_gen():
+    # The benchmark's seeded generators (plain edge lists, no matchcover
+    # import), so the tests can reach the kinds of input it runs.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = _load_gen()
+
+
+def gen_graph(g: tuple[int, list[tuple[int, int]]]) -> MultiGraph:
+    """A ``gen`` graph (n, edge list) as a MultiGraph, numbered as
+    ``parse_graph`` numbers its text form."""
+    n, edges = g
+    return MultiGraph(n, edges)
 
 
 def big_brace_graph() -> MultiGraph:

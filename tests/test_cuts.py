@@ -11,6 +11,7 @@ from matchcover.cuts import (
     _bipartite_tight_cut,
     _brace_obstruction,
     _brick_certificate,
+    _is_brace,
     _decompose,
     _two_separation_candidates,
     classify,
@@ -48,6 +49,8 @@ from _oracles import (
 from conftest import (
     _CORPUS,
     corpus_params,
+    gen,
+    gen_graph,
     random_mc_graph,
     random_nonbipartite_mc_graph,
     sparse_mc_graphs,
@@ -491,3 +494,35 @@ def test_brace_test_matches_the_quadruple_scan():
             assert s == brute_hall_set(h, a_side), g
             defined += 1
     assert obstructed >= 20 and braces >= 20 and defined >= 20
+
+
+def _brace_verdict_inputs() -> list[MultiGraph]:
+    # 520 seeded bipartite matching covered graphs, n = 8..20, sparse and
+    # dense (minimum degree 3), every fifth with one edge doubled; and
+    # K_{k,k} for k = 3..8, alone and with one edge doubled.
+    rng = random.Random(21)
+    graphs = []
+    for i in range(520):
+        n = 8 + 2 * (i % 7)
+        dense = i % 2 == 1
+        chords = n if dense else rng.randrange(n // 4, n + 1)
+        g = gen_graph(gen.bipartite_mc(rng, n, chords, 3 if dense else 2))
+        if i % 5 == 0:
+            g = g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0]
+        graphs.append(g)
+    for k in range(3, 9):
+        g = named_graph(f"K{k},{k}")
+        graphs += [g, g.add_edge(*g.endpoints(1))[0]]
+    return graphs
+
+
+def test_brace_verdict_matches_the_ordered_and_quadruple_scans():
+    braces = obstructed = 0
+    for g in _brace_verdict_inputs():
+        parts = g.bipartition()
+        verdict = _is_brace(g, parts)
+        assert verdict == (_brace_obstruction(g, parts) is None), g
+        assert verdict == (brute_brace_obstruction(g, parts) is None), g
+        braces += verdict
+        obstructed += not verdict
+    assert braces >= 150 and obstructed >= 150

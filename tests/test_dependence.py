@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import matchcover.dependence
 from matchcover.dependence import (
-    _removable,
+    _removability,
     class_of,
     depends_on,
     epsilon,
@@ -18,7 +18,7 @@ from matchcover.dependence import (
     removable_edges,
 )
 from matchcover.errors import DomainError, VerificationError
-from matchcover.generators import labeled_edge, named_graph
+from matchcover.generators import build_high_kappa_epsilon, labeled_edge, named_graph
 from matchcover.matching import is_admissible, is_matching_covered
 from matchcover.multigraph import MultiGraph
 from matchcover.structure import canonical_partition, even_2cuts
@@ -32,11 +32,14 @@ from _oracles import (
     pairwise_class_of,
     pairwise_equivalence_partition,
     pm_removable,
+    pool_removable,
     sweep_removable,
 )
 from conftest import (
     _CORPUS,
     corpus_params,
+    gen,
+    gen_graph,
     random_mc_graph,
     random_nonbipartite_mc_graph,
     sparse_mc_graphs,
@@ -206,11 +209,19 @@ def test_dependence_transitive_through_classes(seed):
 
 
 def _assert_removability_agrees(g: MultiGraph) -> None:
+    # Against the deletion oracles, the earlier pool body on every edge
+    # and class, and the perfect matchings themselves on small graphs.
     edges = removable_edges(g)
     classes = removable_classes(g)
     assert edges == brute_removable_edges(g)
     assert classes == brute_removable_classes(g)
     assert [is_removable_edge(g, e) for e in g.edge_ids] == [e in edges for e in g.edge_ids]
+    assert [pool_removable(g, frozenset((e,))) for e in g.edge_ids] == [
+        e in edges for e in g.edge_ids
+    ]
+    assert [pool_removable(g, c) for c in equivalence_partition(g)] == [
+        c in classes for c in equivalence_partition(g)
+    ]
     if g.n <= 8:
         for e in g.edge_ids:
             assert pm_removable(g, frozenset((e,))) == (e in edges)
@@ -244,6 +255,57 @@ def test_removability_agrees_on_seeded_random_graphs():
     assert larger_removable >= 40
 
 
+def test_removability_agrees_on_the_3_3_final():
+    _assert_removability_agrees(build_high_kappa_epsilon(3, 3).final)
+
+
+def test_removability_agrees_on_seeded_bipartite_graphs():
+    # Sparse and dense (minimum degree 3) bipartite graphs, n = 6..24,
+    # about a third with one edge doubled: decided by the matching digraph.
+    rng = random.Random(21_2019)
+    doubled = 0
+    for i in range(160):
+        n = 6 + 2 * (i % 10)
+        dense = i % 2 == 1 and n >= 8
+        g = gen_graph(gen.bipartite_mc(rng, n, n if dense else n // 4, 3 if dense else 2))
+        if i % 3 == 0:
+            g = g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0]
+            doubled += 1
+        assert g.is_bipartite
+        _assert_removability_agrees(g)
+    assert doubled >= 50
+
+
+@pytest.mark.parametrize("piece", sorted(gen.PIECES))
+def test_removability_agrees_on_seeded_nonbipartite_graphs(piece):
+    # Each brick of the benchmark's generator spliced into a bipartite
+    # base, every third graph with one edge doubled: decided by the
+    # growing table and the g - R engines.
+    rng = random.Random(len(piece))
+    larger = 0
+    for i in range(36):
+        g = gen_graph(gen.nonbipartite_mc(rng, rng.choice((8, 10, 12)), rng.randrange(1, 6), [piece]))
+        if i % 3 == 0:
+            g = g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0]
+        assert not g.is_bipartite
+        _assert_removability_agrees(g)
+        larger += any(len(c) > 1 for c in equivalence_partition(g))
+    assert larger
+
+
+@pytest.mark.parametrize("name", ["C6bar", "K4", "prism3", "K3,3", "prism4", "C8"])
+def test_removability_with_each_edge_doubled(name):
+    # An edge with a parallel twin is a class of its own, and deleting
+    # it leaves its pair in place: both twins are removable.  Doubling
+    # an edge of a larger class of C6bar splits that class.
+    g = named_graph(name)
+    for e in g.edge_ids:
+        h, twin = g.add_edge(*g.endpoints(e))
+        _assert_removability_agrees(h)
+        assert is_removable_edge(h, e) and is_removable_edge(h, twin)
+        assert {frozenset((e,)), frozenset((twin,))} <= set(removable_classes(h))
+
+
 def test_removability_needs_a_matching_covered_graph():
     # like the partitions and the even 2-cuts read off them
     g = MultiGraph(4, [(1, 2), (2, 3), (3, 4)])  # edge 2 is in no perfect matching
@@ -267,8 +329,9 @@ def _assert_signature_queries_agree(g: MultiGraph) -> None:
     assert classes == pairwise_equivalence_partition(g).classes == incidence_partition(g)
     for e in g.edge_ids:
         assert class_of(g, e) == pairwise_class_of(g, e)
+    removable = _removability(g)
     for r in {frozenset((e,)) for e in g.edge_ids} | set(classes):
-        assert _removable(g, r) == sweep_removable(g, r)
+        assert removable(r) == sweep_removable(g, r) == pool_removable(g, r)
 
 
 @pytest.mark.parametrize("g", corpus_params())

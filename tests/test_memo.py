@@ -27,6 +27,7 @@ from matchcover.cuts import (
     verify_bounds,
 )
 from matchcover.dependence import (
+    _connected_minus,
     class_of,
     depends_on,
     equivalence_partition,
@@ -42,6 +43,7 @@ from matchcover.matching import (
     _engine,
     _pm_minus,
     _signatures,
+    has_pm_containing,
     is_matching_covered,
     maximum_matching,
 )
@@ -206,18 +208,47 @@ def test_removability_builds_at_most_one_engine_per_class(name):
     assert set(asked.values()) <= {1}
 
 
-@pytest.mark.parametrize("name", ["K4,4", "C6bar", "prism4", "fig2b", "C6bar+parallel"])
-def test_removability_runs_components_only_for_larger_classes(name):
+@pytest.mark.parametrize("name", ["K4,4", "prism4", "C8", "C4+parallel", "splice6"])
+def test_bipartite_removability_builds_no_graph_and_asks_no_query(name):
+    # On a bipartite g each class is decided by the matching digraph of
+    # g - R, read off g's own adjacency and a perfect matching of g.
+    g = dict(_CORPUS)[name]
+    fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+    equivalence_partition(fresh)
+    watched = {
+        has_pm_containing.__code__,
+        MultiGraph.components.__code__,
+        MultiGraph._init_parts.__code__,
+        _engine.__wrapped__.__code__,
+    }
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        removable_edges(fresh)
+        removable_classes(fresh)
+        for e in fresh.edge_ids:
+            is_removable_edge(fresh, e)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["C6bar", "fig2b", "C6bar+parallel", "prism5", "petersen"])
+def test_nonbipartite_removability_checks_each_larger_class_once(name):
     # A matching covered graph of order >= 4 is 2-connected, so g - e is
-    # connected: only a class of two or more edges needs a pass.
+    # connected: only a class of two or more edges gets a connectivity
+    # check, exactly one, on g's adjacency; no components pass runs.
     g = dict(_CORPUS)[name]
     fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
     classes = equivalence_partition(fresh).classes
-    passes = _calls(MultiGraph.components.__code__, removable_edges, fresh)
-    larger = Counter(frozenset(fresh.edge_ids) - c for c in classes if len(c) > 1)
-    assert Counter(frozenset(call["self"].edge_ids) for call in passes) == larger
-    if name == "K4,4":
-        assert passes == []
+    checks = _calls(_connected_minus.__code__, removable_edges, fresh)
+    assert Counter(call["r"] for call in checks) == Counter(c for c in classes if len(c) > 1)
+    assert _calls(MultiGraph.components.__code__, removable_classes, fresh) == []
 
 
 def test_signature_pool_is_built_once_and_shared():
@@ -349,6 +380,17 @@ def test_brace_test_asks_no_matchability_query(name):
     parts = g.bipartition()
     assert (_brace_obstruction(g, parts) is None) == (name == "K4,4")
     assert _calls(_pm_minus.__code__, _brace_obstruction, g, parts) == []
+
+
+@pytest.mark.parametrize("name", ["K4,4", "K5,5"])
+def test_brace_verdict_runs_no_search(name):
+    # A brace answers from the matching digraph's reach passes alone;
+    # the ordered scan, one search per deleted triple, never starts.
+    g = named_graph(name)
+    parts = g.bipartition()
+    _engine(g)
+    assert _calls(_augment.__code__, _bipartite_tight_cut, g, parts) == []
+    assert _bipartite_tight_cut(g, parts) is None
 
 
 @pytest.mark.parametrize("name", ["petersen", "prism3"])
