@@ -20,8 +20,8 @@ matching covered; ``pm_removable`` decides the same question from the
 perfect matchings alone, and ``pool_removable`` keeps the removability
 from before the matching digraph and the growing table: the candidates
 that g's signature pool leaves open, each asked of one ``g - R``
-engine, with a connectivity pass for a larger class.  ``brute_two_separation_candidates`` /
-``brute_brace_obstruction`` keep the earlier tight-cut scans: one
+engine, with a connectivity pass for a larger class.
+``brute_two_separation_candidates`` / ``brute_brace_obstruction`` keep the earlier tight-cut scans: one
 ``components`` pass per vertex pair, and one ``matchable_minus`` query
 per 4-tuple.  ``brute_hall_violator`` keeps the earlier Hall-set search
 of the brace certificate, on a fresh ``maximum_matching`` of ``g`` minus

@@ -19,7 +19,7 @@ from matchcover.dependence import (
 )
 from matchcover.errors import DomainError, VerificationError
 from matchcover.generators import build_high_kappa_epsilon, labeled_edge, named_graph
-from matchcover.matching import is_admissible, is_matching_covered
+from matchcover.matching import _engine, is_admissible, is_matching_covered
 from matchcover.multigraph import MultiGraph
 from matchcover.structure import canonical_partition, even_2cuts
 
@@ -436,3 +436,15 @@ def test_dependence_refuses_a_search_that_augments(monkeypatch):
         depends_on(g, 1, 3)
     assert info.value.check == "dependence"
     assert not depends_on(g, 1, 2)  # refuted before any search
+
+
+def test_bipartite_removability_refuses_an_inadmissible_edge(monkeypatch):
+    # In a matching covered graph every edge lies in a perfect matching,
+    # so a failed completion through one is an engine fault: refuse it.
+    g = named_graph("C6")
+    index, match = g._adjacency()[0], _engine(g)
+    e = next(f for f, (u, v) in g.edge_items() if match[index[u]] == index[v])
+    monkeypatch.setattr(matchcover.dependence, "_pm_minus", lambda *args: None)
+    with pytest.raises(VerificationError) as info:
+        is_removable_edge(g, e)
+    assert info.value.check == "removability"
