@@ -2,9 +2,10 @@
 removable edges/classes.
 
 An edge e depends on f when every perfect matching through e also uses
-f.  ``_depends`` is the one place that test is made, on g's own
-matching engine: one failed alternating search reads a Gallai-Edmonds
-set (Lovasz-Plummer 3.2).  Mutual dependence partitions the edge set;
+f, that is, when g - ends(e) - f has no perfect matching.  ``_depends``
+is the one place that test is made: one ``matching._pm_minus`` query on
+g's own engine, which completes g's cached matching with the ends of e
+and the edge f taken out.  Mutual dependence partitions the edge set;
 epsilon is the largest class size.
 
 Most pairs are refuted without that test.  ``matching._signatures``
@@ -18,23 +19,22 @@ Removability is read off the memoized partition in one pass (Carvalho,
 Lucchesi and Murty 1999): a class R is removable exactly when no edge
 outside R depends on an edge of R and ``g - R`` is connected, and an
 edge is removable exactly when it is a removable singleton class.  So
-removability, like the partition, needs a matching covered graph.  On a
+removability, like the partition, needs a matching covered graph, and
+it too asks only g's engine: no graph ``g - R`` is built.  On a
 bipartite graph the matching digraph of ``g - R`` decides R by two
 reach passes; on any other, the pass carries one growing table of
-perfect matchings, and only an edge that no table matching settles is
-asked of the graph ``g - R`` (``_removability``).
+perfect matchings, and only an edge f that no table matching settles is
+asked, as ``_pm_minus(g, ends(f), R)`` (``_removability``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import DomainError, VerificationError
 from .matching import (
     _adjacency_minus,
-    _augment,
-    _engine,
     _pm_minus,
     _require_mc,
     _signatures,
@@ -44,28 +44,10 @@ from .multigraph import MultiGraph, _memoized
 
 
 def _depends(g: MultiGraph, e: int, f: int) -> bool:
-    """Does every perfect matching through e use f?  A perfect matching
-    of h = g - ends(e) that misses f's pair, or may swap f for a twin,
-    refutes it.  Else it holds f = cd; without cd, d is the one exposed
-    vertex of h - c, the search from d fails and labels D(h - c) outer,
-    and an outer neighbour x != d of c gives a perfect matching of h
-    through cx, which avoids f."""
-    if e == f:
-        return True
-    a, b = g.endpoints(e)
-    match = _pm_minus(g, frozenset((a, b)))
-    if match is None:
-        return True  # e is in no perfect matching
-    index, adj = g._adjacency()
-    u, v = g.endpoints(f)
-    c, d = index[u], index[v]
-    if match[c] != d or len(g.edges_between(u, v)) > 1:
-        return False
-    match[c] = match[d] = -1
-    outer = _augment(adj, match, d, (index[a], index[b], c))
-    if outer is None:
-        raise VerificationError("dependence", f"g - ends({e}) - {u} augmented")
-    return not any(outer[x] for x in adj[c] if x != d)
+    """Does every perfect matching through e use f?  Exactly when
+    g - ends(e) - f has no perfect matching (a parallel twin of f may
+    stand in for it)."""
+    return e == f or _pm_minus(g, frozenset(g.endpoints(e)), (f,)) is None
 
 
 def _check_ids(g: MultiGraph, *edges: int) -> None:
@@ -168,19 +150,21 @@ def _require_removability(g: MultiGraph) -> None:
 def _removability(g: MultiGraph) -> Callable[[frozenset[int]], bool]:
     """The test "is g - r matching covered?" for r one edge or one class.
 
-    The edges of a class are mutually dependent, so a perfect matching
-    that avoids ``e = min(r)`` avoids all of r.  On a bipartite g one
-    such matching M' decides r: g - r is matching covered iff
-    D(g - r, M') is strongly connected.  On any other g, an edge f
-    outside r lies in a perfect matching of g - r exactly when it does
-    not depend on e, and g - r must be connected.  A table of witness
-    signatures, copied from g's pool, settles every f that some table
-    matching holds without e; each open f is asked of g - r's engine,
-    and the matching that answers joins the table, so it can settle the
-    candidates of later calls too.  g - r is built only for an open
-    candidate, and only a larger class needs a connectivity pass: a
-    matching covered graph of order >= 4 is 2-connected.  The table
-    lives as long as the returned test, not in g's memo.
+    Every query is asked of g's own engine, as a perfect matching of g
+    minus vertices and the edges of r (``_pm_minus``); no graph g - r is
+    built.  On a bipartite g one perfect matching M' of g - r decides r:
+    g - r is matching covered iff D(g - r, M') is strongly connected.
+    On any other g, g - r must be connected and every edge f outside r
+    must lie in a perfect matching of g - r.  The edges of a class are
+    mutually dependent, so a perfect matching that avoids ``e = min(r)``
+    avoids all of r.  A table of witness signatures, copied from g's
+    pool, settles every f that some table matching holds without e;
+    each open f is asked as ``_pm_minus(g, ends(f), r)``, and the
+    matching that answers joins the table, so it can settle the
+    candidates of later calls too.  Only a larger class needs a
+    connectivity pass: a matching covered graph of order >= 4 is
+    2-connected.  The table lives as long as the returned test, not in
+    g's memo.
     """
     if g.is_bipartite:
         return lambda r: _bipartite_removable(g, r)
@@ -194,13 +178,10 @@ def _removability(g: MultiGraph) -> Callable[[frozenset[int]], bool]:
         e = min(r)
         if len(r) > 1 and not _connected_minus(g, r):
             return False
-        rest = None
         for f in g.edge_ids:
             if f in r or sig[f] & ~sig[e]:
                 continue
-            if rest is None:
-                rest = g.delete_edges(r)
-            match = _pm_minus(rest, frozenset(rest.endpoints(f)))
+            match = _pm_minus(g, frozenset(g.endpoints(f)), r)
             if match is None:
                 return False
             i, j = pairs[f]
@@ -215,19 +196,9 @@ def _removability(g: MultiGraph) -> Callable[[frozenset[int]], bool]:
 
 
 def _bipartite_removable(g: MultiGraph, r: frozenset[int]) -> bool:
-    # M' is the engine's matching when it misses e's pair, else one
-    # completed through another edge at an end of e.
-    index, adj = g._adjacency()
-    u, v = g.endpoints(min(r))
-    i, j = index[u], index[v]
-    match: Sequence[int] = _engine(g)
-    if match[i] == j:
-        w = next(w for w in adj[i] if w != j)
-        completed = _pm_minus(g, frozenset((u, g.vertices[w])))
-        if completed is None:
-            raise VerificationError("removability", f"edge {u}-{g.vertices[w]} is inadmissible")
-        completed[i], completed[w] = w, i
-        match = completed
+    match = _pm_minus(g, frozenset(), r)
+    if match is None:
+        raise VerificationError("removability", f"no perfect matching avoids edge {min(r)}")
     return _strongly_connected(g, match, 0, r)
 
 

@@ -22,9 +22,9 @@ import re
 from typing import Callable, Mapping, Optional
 
 from .cuts import classify, exhaustive_nontrivial_tight_cut, is_tight_cut
-from .dependence import _depends, is_equivalence_class
+from .dependence import is_equivalence_class
 from .errors import CapabilityError, DomainError, MatchcoverError, VerificationError
-from .matching import is_matching_covered, maximum_matching
+from .matching import _pm_minus, is_matching_covered, maximum_matching
 from .multigraph import Cut, MultiGraph
 from .splicing import SpliceSpec, splice
 from .structure import is_barrier, vertex_connectivity
@@ -350,8 +350,10 @@ def build_high_kappa_epsilon(
 
 
 def _all_inadmissible(g: MultiGraph, removed, targets) -> tuple[bool, str]:
-    # Sound (e depends on min(F) => e inadmissible in g - F); exact for one edge or one class.
-    bad = sorted(e for e in targets if not _depends(g, e, min(removed)))
+    # e is inadmissible in g - F iff g - ends(e) - F has no perfect matching.
+    bad = sorted(
+        e for e in targets if _pm_minus(g, frozenset(g.endpoints(e)), removed) is not None
+    )
     if bad:
         return False, f"admissible after deletion: {bad}"
     return True, f"{len(set(targets))} edges all inadmissible"

@@ -6,13 +6,16 @@ alternating search.  It runs on the graph's one index adjacency
 (``MultiGraph._adjacency``: the vertex index map and the simple
 adjacency lists over indices); the first query against a graph builds
 one maximum matching on it and keeps that in the graph's memo.  Each query
-"does g minus S have a perfect matching?" (``_pm_minus``, behind
-``matchable_minus`` and ``has_pm_containing``) copies that cached
-matching, unmatches the mates of S and re-augments from each exposed
-vertex left, so at most |S| searches when the cached matching is
-perfect; it returns the perfect matching it completes.  A search that
-fails returns its outer labels, off which the canonical partition, the
-dependence test and the brace test read Gallai-Edmonds sets.
+"does g minus the vertices S and the edges F have a perfect matching?"
+(``_pm_minus``, behind ``matchable_minus``, ``has_pm_containing``, the
+dependence test, removability and ``verify_trace``'s inadmissibility
+checks) copies that cached matching, unmatches the mates of S and every
+pair that F empties, and re-augments from each exposed vertex left on
+the adjacency minus those pairs (``_adjacency_minus``), so at most
+|S| + 2|F| searches when the cached matching is perfect; it returns the
+perfect matching it completes.  No graph g - F is built.  A search that
+fails returns its outer labels, off which the canonical partition and
+the brace test read Gallai-Edmonds sets.
 
 Those matchings make a per-graph pool (``_signatures``): the cached
 matching, then one perfect matching through each edge that no earlier
@@ -193,10 +196,13 @@ def maximum_matching(g: MultiGraph) -> frozenset[int]:
 # -- matchability oracle ----------------------------------------------------
 
 
-def _pm_minus(g: MultiGraph, gone: frozenset[int]) -> list[int] | None:
-    """A perfect matching of ``g`` minus the vertices ``gone``, as a mate
-    list over the engine's vertex indices (-1 at the indices of
-    ``gone``), or None when there is none."""
+def _pm_minus(
+    g: MultiGraph, gone: frozenset[int], without: Collection[int] = ()
+) -> list[int] | None:
+    """A perfect matching of ``g`` minus the vertices ``gone`` and the
+    edge ids ``without``, as a mate list over the engine's vertex
+    indices (-1 at the indices of ``gone``), or None when there is none.
+    A vertex pair survives while one of its parallel edges does."""
     if not gone <= g._vset:
         raise DomainError(f"unknown vertices: {sorted(gone - g._vset)}")
     if (g.n - len(gone)) % 2 == 1:
@@ -205,21 +211,29 @@ def _pm_minus(g: MultiGraph, gone: frozenset[int]) -> list[int] | None:
     cached = _engine(g)
     dead = {index[v] for v in gone}
     match = list(cached)
-    # The exposed vertices of g - S: the mates of S, once unmatched, and
-    # any vertex that the cached matching leaves exposed.
+    # The exposed vertices of g - S - F: the mates of S and the ends of
+    # each pair that F empties, once unmatched, and any vertex that the
+    # cached matching leaves exposed.
     roots = []
     for v in dead:
         w = match[v]
         if w != -1:
             match[v] = match[w] = -1
-            if w not in dead:
-                roots.append(w)
+            roots.append(w)
+    if without:
+        adj = _adjacency_minus(g, without)
+        for f in without:
+            i, j = (index[x] for x in g.endpoints(f))
+            if match[i] == j and j not in adj[i]:
+                match[i] = match[j] = -1
+                roots += (i, j)
     if -1 in cached:
-        roots += [v for v, w in enumerate(cached) if w == -1 and v not in dead]
+        roots += [v for v, w in enumerate(cached) if w == -1]
     for root in roots:
-        if match[root] == -1 and _augment(adj, match, root, dead) is not None:
+        if match[root] == -1 and root not in dead and _augment(adj, match, root, dead) is not None:
             # By Edmonds, a vertex that no augmenting path reaches stays
-            # exposed in some maximum matching, so g - S has no perfect one.
+            # exposed in some maximum matching, so g - S - F has no
+            # perfect one.
             return None
     return match
 

@@ -4,8 +4,11 @@ Everything here is deliberately naive: straight recursion and full
 enumeration, no shared state with the library beyond the MultiGraph
 accessors. Keep it that way.  The exceptions keep the library's
 earlier bodies.  ``deletion_depends`` keeps the earlier dependence
-test, which built the graph ``g - f`` and its own matching engine, and
-``_partition`` the earlier union-find.  ``pairwise_equivalence_partition``,
+test, which built the graph ``g - f`` and its own matching engine;
+``search_depends`` the one after it, on g's engine: a completion of
+``g - ends(e)`` and, when that holds f, one failed alternating search
+from an end of f that reads a Gallai-Edmonds set; and ``_partition``
+the earlier union-find.  ``pairwise_equivalence_partition``,
 ``pairwise_class_of`` and ``sweep_removable`` keep the dependence
 queries from before the witness signatures: a ``deletion_depends``
 test for every pair of edges, or against every other edge.
@@ -55,8 +58,10 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 from matchcover.cuts import _as_cut, _tight_cuts, contractions, is_tight_cut
 from matchcover.dependence import EquivalencePartition, _check_ids, equivalence_partition
-from matchcover.errors import CapabilityError, DomainError
+from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.matching import (
+    _augment,
+    _pm_minus,
     _require_mc,
     _signatures,
     has_pm_containing,
@@ -155,6 +160,31 @@ def incidence_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
 def deletion_depends(g: MultiGraph, e: int, f: int) -> bool:
     """e lies in no perfect matching of g - f, asked of a new graph."""
     return not has_pm_containing(g.delete_edges((f,)), (e,))
+
+
+def search_depends(g: MultiGraph, e: int, f: int) -> bool:
+    """The earlier dependence test on g's engine.  A perfect matching of
+    h = g - ends(e) that misses f's pair, or may swap f for a twin,
+    refutes it.  Else it holds f = cd; without cd, d is the one exposed
+    vertex of h - c, the search from d fails and labels D(h - c) outer,
+    and an outer neighbour x != d of c gives a perfect matching of h
+    through cx, which avoids f."""
+    if e == f:
+        return True
+    a, b = g.endpoints(e)
+    match = _pm_minus(g, frozenset((a, b)))
+    if match is None:
+        return True  # e is in no perfect matching
+    index, adj = g._adjacency()
+    u, v = g.endpoints(f)
+    c, d = index[u], index[v]
+    if match[c] != d or len(g.edges_between(u, v)) > 1:
+        return False
+    match[c] = match[d] = -1
+    outer = _augment(adj, match, d, (index[a], index[b], c))
+    if outer is None:
+        raise VerificationError("dependence", f"g - ends({e}) - {u} augmented")
+    return not any(outer[x] for x in adj[c] if x != d)
 
 
 def _mutual(g: MultiGraph, e: int, f: int) -> bool:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from matchcover.dependence import (
 )
 from matchcover.errors import DomainError, VerificationError
 from matchcover.generators import build_high_kappa_epsilon, labeled_edge, named_graph
-from matchcover.matching import _engine, is_admissible, is_matching_covered
+from matchcover.matching import _augment, _engine, _pm_minus, is_admissible, is_matching_covered
 from matchcover.multigraph import MultiGraph
 from matchcover.structure import canonical_partition, even_2cuts
 
@@ -33,6 +34,7 @@ from _oracles import (
     pairwise_equivalence_partition,
     pm_removable,
     pool_removable,
+    search_depends,
     sweep_removable,
 )
 from conftest import (
@@ -403,7 +405,8 @@ def _dependence_graphs() -> list[MultiGraph]:
 
 def test_depends_on_agrees_with_the_definition_on_every_ordered_pair():
     # Every ordered pair, against "every perfect matching through e uses
-    # f" by enumeration and against the deletion test it replaces.
+    # f" by enumeration, against the deletion test on g - f, and against
+    # the Gallai-Edmonds search test that the one-query test replaces.
     kinds = dict.fromkeys(
         ("e = f", "adjacent", "parallel", "f has a twin", "inadmissible e", "not mc"), 0
     )
@@ -415,6 +418,7 @@ def test_depends_on_agrees_with_the_definition_on_every_ordered_pair():
             for f in g.edge_ids:
                 expected = all(f in pm for pm in pms if e in pm)
                 assert depends_on(g, e, f) == expected == deletion_depends(g, e, f), (g, e, f)
+                assert search_depends(g, e, f) == expected, (g, e, f)
                 assert mutually_dependent(g, e, f) == (expected and depends_on(g, f, e))
                 ends, f_ends = g.endpoints(e), g.endpoints(f)
                 kinds["e = f"] += e == f
@@ -426,16 +430,34 @@ def test_depends_on_agrees_with_the_definition_on_every_ordered_pair():
     assert all(kinds.values()), kinds
 
 
-def test_dependence_refuses_a_search_that_augments(monkeypatch):
-    # With f's edge taken out of a perfect matching of g - ends(e), the
-    # far end of f is the one exposed vertex left, so the search from
-    # it cannot augment; if it does, the engine is at fault.
-    monkeypatch.setattr(matchcover.dependence, "_augment", lambda *args: None)
-    g = named_graph("C6")  # edges 1, 3, 5 form one perfect matching
-    with pytest.raises(VerificationError) as info:
-        depends_on(g, 1, 3)
-    assert info.value.check == "dependence"
-    assert not depends_on(g, 1, 2)  # refuted before any search
+@pytest.mark.parametrize("name", ["C6", "C6bar", "K4+parallel", "prism3"])
+def test_depends_is_one_matching_query(name):
+    # e depends on f exactly when g - ends(e) - f has no perfect
+    # matching: each ordered pair e != f asks one _pm_minus query of g
+    # and e = f none, and every alternating search runs inside a query.
+    g = dict(_CORPUS)[name]
+    queries, stray = [], []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is _pm_minus.__code__:
+            args = frame.f_locals
+            queries.append((args["g"], args["gone"], tuple(args["without"])))
+        elif frame.f_code is _augment.__code__ and frame.f_back.f_code is not _pm_minus.__code__:
+            stray.append(frame.f_back.f_code.co_name)
+
+    for e in g.edge_ids:
+        for f in g.edge_ids:
+            queries.clear()
+            sys.setprofile(profile)
+            try:
+                depends_on(g, e, f)
+            finally:
+                sys.setprofile(None)
+            expected = [] if e == f else [(g, frozenset(g.endpoints(e)), (f,))]
+            assert queries == expected, (e, f)
+    assert stray == []
 
 
 def test_bipartite_removability_refuses_an_inadmissible_edge(monkeypatch):

@@ -202,10 +202,11 @@ _TRACES = [(2, 2, False), (2, 3, False), (3, 3, False), (3, 4, False),
 
 @pytest.mark.parametrize("p,q,misroute", _TRACES)
 def test_inadmissibility_checks_match_the_deletion_oracle(p, q, misroute, monkeypatch):
-    # Each check asks g's own engine whether a target depends on min(F);
-    # the earlier body asked the graph g - F.  The verdicts agree on
-    # every check of well-built and misrouted traces alike, and, where F
-    # is one edge or one class, on every other edge of g as targets.
+    # Each check asks g's own engine whether g - ends(e) - F has a
+    # perfect matching; the earlier body asked the graph g - F.  The
+    # verdicts agree on every check of well-built and misrouted traces
+    # alike, with the check's targets and with every other edge of g as
+    # targets; where F is one edge or one class, some edge stays admissible.
     t = _misrouted(p, q, monkeypatch) if misroute else build_high_kappa_epsilon(p, q)
     seen = []
 
@@ -213,9 +214,9 @@ def test_inadmissibility_checks_match_the_deletion_oracle(p, q, misroute, monkey
         verdict = inadmissible(g, removed, targets)
         assert verdict == deletion_all_inadmissible(g, removed, targets)
         seen.append(verdict[0])
+        rest = [e for e in g.edge_ids if e not in removed]
+        assert inadmissible(g, removed, rest) == deletion_all_inadmissible(g, removed, rest)
         if len(removed) == 1 or is_equivalence_class(g, removed):
-            rest = [e for e in g.edge_ids if e not in removed]
-            assert inadmissible(g, removed, rest) == deletion_all_inadmissible(g, removed, rest)
             assert not inadmissible(g, removed, rest)[0]
         return verdict
 

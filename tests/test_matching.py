@@ -10,6 +10,7 @@ import matchcover.matching
 from matchcover.errors import CapabilityError, DomainError
 from matchcover.generators import named_graph
 from matchcover.matching import (
+    _pm_minus,
     enumerate_pms,
     has_pm_containing,
     is_admissible,
@@ -249,3 +250,50 @@ def test_matchable_minus_agrees_with_networkx_under_many_queries(n):
         h = nx.Graph(g.endpoints(e) for e in g.edge_ids)
         assert len(maximum_matching(g)) == len(nx.max_weight_matching(h, maxcardinality=True))
         _check_queries(g, _removed_sets(rng, g, 8), lambda removed: nx_matchable_minus(g, removed))
+
+
+def _is_pm_minus(g: MultiGraph, match, gone, without) -> bool:
+    """Is the mate list a perfect matching of g - gone - without?"""
+    verts = g.vertices
+    return all(
+        (w == -1) if v in gone else (
+            w != -1 and match[w] == i and verts[w] not in gone
+            and any(f not in without for f in g.edges_between(v, verts[w]))
+        )
+        for i, (v, w) in enumerate(zip(verts, match))
+    )
+
+
+def test_pm_minus_without_edges_agrees_with_the_graph_minus_those_edges():
+    # g minus vertices S and edges F, asked of g's own engine, against a
+    # new graph g - F asked about S; every mate list returned is a
+    # perfect matching of g - S - F, and g's cached matching is untouched.
+    rng = random.Random(22_2019)
+    seen: Counter = Counter()
+    for _ in range(120):
+        for g in _differential_graphs(rng, rng.randrange(2, 13)):
+            g = g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0]  # one parallel pair
+            cached = maximum_matching(g)
+            for _ in range(30):
+                gone = frozenset(rng.sample(g.vertices, rng.randrange(min(3, g.n) + 1)))
+                without = set(rng.sample(g.edge_ids, rng.randrange(min(3, g.m) + 1)))
+                if rng.random() < 0.5:  # empty a pair of the cached matching
+                    without.update(g.edges_between(*g.endpoints(rng.choice(sorted(cached)))))
+                match = _pm_minus(g, gone, frozenset(without))
+                assert (match is not None) == matchable_minus(g.delete_edges(without), gone)
+                assert match is None or _is_pm_minus(g, match, gone, without)
+                pairs = {g.endpoints(f) for f in without}
+                seen["a matched pair emptied"] += any(
+                    set(g.edges_between(*g.endpoints(e))) <= without
+                    for e in cached if g.endpoints(e)[0] not in gone
+                    and g.endpoints(e)[1] not in gone
+                )
+                seen["a twin survives"] += any(
+                    not set(g.edges_between(*pair)) <= without for pair in pairs
+                )
+                seen["matchable"] += match is not None
+                seen["not matchable, even rest"] += match is None and (g.n - len(gone)) % 2 == 0
+            seen["no perfect matching"] += not matchable_minus(g)
+            seen["odd order"] += g.n % 2
+            assert maximum_matching(g) == cached
+    assert len(seen) == 6 and min(seen.values()) >= 20, seen

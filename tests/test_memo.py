@@ -189,29 +189,16 @@ def test_dependence_queries_build_no_engine_but_gs(name):
     assert engines == [fresh] and graphs == 0
 
 
-@pytest.mark.parametrize("name", ["prism4", "C6bar", "K4,4", "fig2b", "C6bar+parallel"])
-def test_removability_builds_at_most_one_engine_per_class(name):
-    # Each class R whose candidates the pool leaves open is asked of one
-    # engine, on g - R; g's own engine and pool are built beforehand.
-    g = dict(_CORPUS)[name]
-    fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
-    classes = equivalence_partition(fresh).classes
-
-    def run():
-        removable_edges(fresh)
-        removable_classes(fresh)
-
-    engines, _ = _graph_builds(run)
-    asked = Counter(frozenset(h.edge_ids) for h in engines)
-    assert all(h.vertices == fresh.vertices for h in engines)
-    assert set(asked) <= {frozenset(fresh.edge_ids) - c for c in classes}
-    assert set(asked.values()) <= {1}
-
-
-@pytest.mark.parametrize("name", ["K4,4", "prism4", "C8", "C4+parallel", "splice6"])
-def test_bipartite_removability_builds_no_graph_and_asks_no_query(name):
-    # On a bipartite g each class is decided by the matching digraph of
-    # g - R, read off g's own adjacency and a perfect matching of g.
+@pytest.mark.parametrize(
+    "name",
+    ["K4,4", "prism4", "C8", "C4+parallel", "splice6",
+     "C6bar", "fig2b", "C6bar+parallel", "prism5", "petersen"],
+)
+def test_removability_builds_no_graph_and_asks_no_query(name):
+    # Every removability question is asked of g's own engine, as a
+    # perfect matching of g minus vertices and the edges of R: no graph
+    # g - R, no second engine and no components pass.  On a bipartite g
+    # the matching digraph of g - R decides each class.
     g = dict(_CORPUS)[name]
     fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
     equivalence_partition(fresh)
