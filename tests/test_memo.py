@@ -189,6 +189,27 @@ def test_dependence_queries_build_no_engine_but_gs(name):
     assert engines == [fresh] and graphs == 0
 
 
+@pytest.mark.parametrize("name", ["prism4", "C6bar", "K4,4", "fig2b", "C6bar+parallel"])
+def test_removability_builds_at_most_one_engine_per_class(name):
+    # Each class R is asked of g's own engine, built beforehand with its
+    # pool, as a matching of g minus R: at most one engine per class, and
+    # in fact none.
+    g = dict(_CORPUS)[name]
+    fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+    classes = equivalence_partition(fresh).classes
+
+    def run():
+        removable_edges(fresh)
+        removable_classes(fresh)
+
+    engines, graphs = _graph_builds(run)
+    asked = Counter(frozenset(h.edge_ids) for h in engines)
+    assert all(h.vertices == fresh.vertices for h in engines)
+    assert set(asked) <= {frozenset(fresh.edge_ids) - c for c in classes}
+    assert set(asked.values()) <= {1}
+    assert engines == [] and graphs == 0
+
+
 @pytest.mark.parametrize(
     "name",
     ["K4,4", "prism4", "C8", "C4+parallel", "splice6",
