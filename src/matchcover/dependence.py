@@ -20,7 +20,8 @@ Lucchesi and Murty 1999): a class R is removable exactly when no edge
 outside R depends on an edge of R and ``g - R`` is connected, and an
 edge is removable exactly when it is a removable singleton class.  So
 removability, like the partition, needs a matching covered graph, and
-it too asks only g's engine: no graph ``g - R`` is built.  On a
+it too asks only g's engine and adjacency (``g.components(without=R)``
+for connectivity): no graph ``g - R`` is built.  On a
 bipartite graph the matching digraph of ``g - R`` decides R by two
 reach passes; on any other, the pass carries one growing table of
 perfect matchings, and only an edge f that no table matching settles is
@@ -33,13 +34,7 @@ import dataclasses
 from typing import Callable, Iterable
 
 from .errors import DomainError, VerificationError
-from .matching import (
-    _adjacency_minus,
-    _pm_minus,
-    _require_mc,
-    _signatures,
-    _strongly_connected,
-)
+from .matching import _pm_minus, _require_mc, _signatures, _strongly_connected
 from .multigraph import MultiGraph, _memoized
 
 
@@ -162,9 +157,9 @@ def _removability(g: MultiGraph) -> Callable[[frozenset[int]], bool]:
     each open f is asked as ``_pm_minus(g, ends(f), r)``, and the
     matching that answers joins the table, so it can settle the
     candidates of later calls too.  Only a larger class needs a
-    connectivity pass: a matching covered graph of order >= 4 is
-    2-connected.  The table lives as long as the returned test, not in
-    g's memo.
+    connectivity pass, ``g.components(without=r)``: a matching covered
+    graph of order >= 4 is 2-connected.  The table lives as long as the
+    returned test, not in g's memo.
     """
     if g.is_bipartite:
         return lambda r: _bipartite_removable(g, r)
@@ -176,7 +171,7 @@ def _removability(g: MultiGraph) -> Callable[[frozenset[int]], bool]:
     def removable(r: frozenset[int]) -> bool:
         nonlocal bit
         e = min(r)
-        if len(r) > 1 and not _connected_minus(g, r):
+        if len(r) > 1 and len(g.components(without=r)) != 1:
             return False
         for f in g.edge_ids:
             if f in r or sig[f] & ~sig[e]:
@@ -200,20 +195,6 @@ def _bipartite_removable(g: MultiGraph, r: frozenset[int]) -> bool:
     if match is None:
         raise VerificationError("removability", f"no perfect matching avoids edge {min(r)}")
     return _strongly_connected(g, match, 0, r)
-
-
-def _connected_minus(g: MultiGraph, r: frozenset[int]) -> bool:
-    """Is g - r connected?  One breadth-first pass over its adjacency."""
-    adj = _adjacency_minus(g, r)
-    seen = [False] * g.n
-    seen[0] = True
-    queue = [0]
-    for x in queue:  # breadth first: the loop reaches what is appended
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                queue.append(y)
-    return len(queue) == g.n
 
 
 @_memoized

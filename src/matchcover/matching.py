@@ -11,11 +11,11 @@ one maximum matching on it and keeps that in the graph's memo.  Each query
 dependence test, removability and ``verify_trace``'s inadmissibility
 checks) copies that cached matching, unmatches the mates of S and every
 pair that F empties, and re-augments from each exposed vertex left on
-the adjacency minus those pairs (``_adjacency_minus``), so at most
-|S| + 2|F| searches when the cached matching is perfect; it returns the
-perfect matching it completes.  No graph g - F is built.  A search that
-fails returns its outer labels, off which the canonical partition and
-the brace test read Gallai-Edmonds sets.
+the adjacency minus those pairs (``MultiGraph._adjacency_minus``), so
+at most |S| + 2|F| searches when the cached matching is perfect; it
+returns the perfect matching it completes.  No graph g - F is built.  A
+search that fails returns its outer labels, off which the canonical
+partition and the brace test read Gallai-Edmonds sets.
 
 Those matchings make a per-graph pool (``_signatures``): the cached
 matching, then one perfect matching through each edge that no earlier
@@ -221,7 +221,7 @@ def _pm_minus(
             match[v] = match[w] = -1
             roots.append(w)
     if without:
-        adj = _adjacency_minus(g, without)
+        adj = g._adjacency_minus(without)
         for f in without:
             i, j = (index[x] for x in g.endpoints(f))
             if match[i] == j and j not in adj[i]:
@@ -272,19 +272,6 @@ def is_admissible(g: MultiGraph, e: int) -> bool:
     return has_pm_containing(g, (e,))
 
 
-def _adjacency_minus(g: MultiGraph, gone: Collection[int]) -> tuple[tuple[int, ...], ...]:
-    """g's index adjacency lists without the vertex pairs all of whose
-    parallel edges are in ``gone`` (edge ids)."""
-    index, adj = g._adjacency()
-    rows = list(adj)
-    for u, v in {g.endpoints(f) for f in gone}:
-        if all(f in gone for f in g.edges_between(u, v)):
-            i, j = index[u], index[v]
-            rows[i] = tuple(w for w in rows[i] if w != j)
-            rows[j] = tuple(w for w in rows[j] if w != i)
-    return tuple(rows)
-
-
 def _strongly_connected(
     g: MultiGraph, match: Sequence[int], root: int, gone: Collection[int] = (), skip: int = -1
 ) -> bool:
@@ -293,7 +280,7 @@ def _strongly_connected(
     ``g`` is bipartite, ``gone`` a set of edge ids and ``match`` a
     perfect matching of g - gone, as a mate sequence over the engine's
     indices.  D has one node per vertex on ``root``'s side, with an arc
-    a -> match[b] for each edge ab of g - gone (``_adjacency_minus``);
+    a -> match[b] for each edge ab of g - gone (``g._adjacency_minus``);
     ``skip`` is a node on that side other than ``root``, or -1.  One
     forward and one backward reach pass from ``root`` decide it.
 
@@ -301,7 +288,7 @@ def _strongly_connected(
     connected, and then, at order >= 6, a brace iff every D - x is
     (Lakhal-Litzler 1998; Robertson-Seymour-Thomas 1999).
     """
-    adj = _adjacency_minus(g, gone)
+    adj = g._adjacency_minus(gone)
     need = len(match) // 2 - (skip != -1)
     for backward in (False, True):
         seen = [False] * len(match)

@@ -18,6 +18,9 @@ One of them, ``_adjacency``, is the graph's index adjacency: the vertex
 index map and the sorted simple neighbour lists over indices.
 Components, the bipartition, the matching engine, connectivity, the cut
 scans and canonical forms all traverse it; nothing else builds one.
+Questions about the graph minus some edges (components, the matching
+queries, the matching digraph) read ``_adjacency_minus``, that adjacency
+without the vertex pairs the edges empty, so none builds a graph.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from functools import cached_property, wraps
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .errors import CapabilityError, DomainError, ParseError
 
@@ -308,11 +311,28 @@ class MultiGraph:
             nbrs[index[v]].add(index[u])
         return index, tuple(tuple(sorted(row)) for row in nbrs)
 
-    def components(self, removed: Iterable[int] = ()) -> list[frozenset[int]]:
-        """Connected components of the graph minus ``removed``, sorted by
-        min vertex; ids that are not vertices are ignored."""
+    def _adjacency_minus(self, ids: Collection[int]) -> tuple[tuple[int, ...], ...]:
+        """The index adjacency lists without the vertex pairs all of whose
+        parallel edges are in ``ids``; an id that is not an edge raises
+        ``DomainError``."""
+        index, adj = self._adjacency()
+        rows = list(adj)
+        for u, v in {self.endpoints(f) for f in ids}:
+            if all(f in ids for f in self.edges_between(u, v)):
+                i, j = index[u], index[v]
+                rows[i] = tuple(w for w in rows[i] if w != j)
+                rows[j] = tuple(w for w in rows[j] if w != i)
+        return tuple(rows)
+
+    def components(
+        self, removed: Iterable[int] = (), without: Collection[int] = ()
+    ) -> list[frozenset[int]]:
+        """Connected components of the graph minus the vertices ``removed``
+        and the edge ids ``without``, sorted by min vertex; vertex ids that
+        are not vertices are ignored.  No graph is built for ``without``:
+        the pass reads the adjacency minus the pairs it empties."""
         gone = set(removed)
-        adj = self._adjacency()[1]
+        adj = self._adjacency_minus(without) if without else self._adjacency()[1]
         seen = [v in gone for v in self._vertices]
         out: list[frozenset[int]] = []
         for start in range(len(adj)):

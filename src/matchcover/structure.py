@@ -3,11 +3,12 @@ vertex connectivity.  The partition, the even 2-cuts and the
 connectivity are memoized per graph.  The canonical partition takes one
 failed alternating search per part on the matching engine's cached
 perfect matching; the even 2-cuts are read off the equivalence classes,
-so both need a matching covered graph.  Connectivity follows
-Esfahanian and Hakimi: unit-capacity flows on one vertex-split array
-network from one vertex v of least degree delta to each vertex not
-adjacent to it, and between each nonadjacent pair of its neighbours,
-at most (n - delta - 1) + delta*(delta - 1)/2 flows, each capped at the
+one ``components`` pass over g's adjacency minus each candidate pair (no
+graph is built), so both need a matching covered graph.  Connectivity
+follows Esfahanian and Hakimi: unit-capacity flows on one vertex-split
+array network from one vertex v of least degree delta to each vertex not
+adjacent to it, and between each nonadjacent pair of its neighbours, at
+most (n - delta - 1) + delta*(delta - 1)/2 flows, each capped at the
 least value found so far."""
 
 from __future__ import annotations
@@ -86,26 +87,27 @@ def even_2cuts(g: MultiGraph) -> list[Cut]:
 def _even_2cuts(g: MultiGraph) -> tuple[Cut, ...]:
     # A perfect matching meets an even cut in an even number of edges, so
     # the two edges of an even 2-cut are mutually dependent: candidates
-    # come from pairs inside one equivalence class.
+    # come from pairs inside one equivalence class.  Such a pair shares a
+    # perfect matching, so it is nonadjacent and crosses no odd cut, and
+    # g is 2-edge-connected, so a disconnected g - e - f has two shores
+    # with both edges between them: the pair is an even 2-cut exactly
+    # when g - e - f is disconnected.  The first component is the shore
+    # with the lower minimum vertex.
     pairs = sorted(
         pair for cls in equivalence_partition(g) for pair in combinations(sorted(cls), 2)
     )
     out: list[Cut] = []
     for e, f in pairs:
-        eu, ev = g.endpoints(e)
-        fu, fv = g.endpoints(f)
-        if len({eu, ev, fu, fv}) < 4:
+        comps = g.components(without=(e, f))
+        if len(comps) == 1:
             continue
-        comps = g.delete_edges((e, f)).components()
-        if len(comps) != 2:
-            continue
-        first, second = comps
-        if len(first) % 2 or len(second) % 2:
-            continue
-        # Both edges must genuinely cross, else {e, f} is not a cut.
-        if (eu in first) == (ev in first) or (fu in first) == (fv in first):
-            continue
-        shore = first if min(first) < min(second) else second
+        shore = comps[0]
+        (a, b), (c, d) = g.endpoints(e), g.endpoints(f)
+        if (
+            len(comps) != 2 or len(shore) % 2 or len({a, b, c, d}) < 4
+            or (a in shore) == (b in shore) or (c in shore) == (d in shore)
+        ):
+            raise VerificationError("even-2-cuts", f"edges {e} and {f} are no even 2-cut")
         out.append(g.cut(shore))
     return tuple(out)
 

@@ -27,9 +27,9 @@ from matchcover.cuts import (
     verify_bounds,
 )
 from matchcover.dependence import (
-    _connected_minus,
     class_of,
     depends_on,
+    epsilon,
     equivalence_partition,
     is_removable_edge,
     mutually_dependent,
@@ -210,6 +210,34 @@ def test_removability_builds_at_most_one_engine_per_class(name):
     assert engines == [] and graphs == 0
 
 
+def _removability_calls(fresh, run):
+    # The edge ids of every components pass during run(), each checked to
+    # be on fresh itself, and the calls into what removability must not
+    # reach: has_pm_containing, graph construction, a new engine.
+    watched = {
+        has_pm_containing.__code__,
+        MultiGraph._init_parts.__code__,
+        _engine.__wrapped__.__code__,
+    }
+    passes, calls = [], []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is MultiGraph.components.__code__:
+            assert frame.f_locals["self"] is fresh
+            passes.append(frozenset(frame.f_locals["without"]))
+        elif frame.f_code in watched:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return passes, calls
+
+
 @pytest.mark.parametrize(
     "name",
     ["K4,4", "prism4", "C8", "C4+parallel", "splice6",
@@ -218,31 +246,21 @@ def test_removability_builds_at_most_one_engine_per_class(name):
 def test_removability_builds_no_graph_and_asks_no_query(name):
     # Every removability question is asked of g's own engine, as a
     # perfect matching of g minus vertices and the edges of R: no graph
-    # g - R, no second engine and no components pass.  On a bipartite g
-    # the matching digraph of g - R decides each class.
+    # g - R and no second engine.  The only connectivity pass is a
+    # components pass on g minus a class of two or more edges.  On a
+    # bipartite g the matching digraph of g - R decides each class.
     g = dict(_CORPUS)[name]
     fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
-    equivalence_partition(fresh)
-    watched = {
-        has_pm_containing.__code__,
-        MultiGraph.components.__code__,
-        MultiGraph._init_parts.__code__,
-        _engine.__wrapped__.__code__,
-    }
-    calls = []
+    larger = {c for c in equivalence_partition(fresh).classes if len(c) > 1}
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in watched:
-            calls.append(frame.f_code.co_name)
-
-    sys.setprofile(profile)
-    try:
+    def run():
         removable_edges(fresh)
         removable_classes(fresh)
         for e in fresh.edge_ids:
             is_removable_edge(fresh, e)
-    finally:
-        sys.setprofile(None)
+
+    passes, calls = _removability_calls(fresh, run)
+    assert set(passes) <= larger
     assert calls == []
 
 
@@ -250,25 +268,29 @@ def test_removability_builds_no_graph_and_asks_no_query(name):
 def test_nonbipartite_removability_checks_each_larger_class_once(name):
     # A matching covered graph of order >= 4 is 2-connected, so g - e is
     # connected: only a class of two or more edges gets a connectivity
-    # check, exactly one, on g's adjacency; no components pass runs.
+    # check, exactly one components pass on g's adjacency minus the class.
     g = dict(_CORPUS)[name]
     fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
     classes = equivalence_partition(fresh).classes
-    checks, passes = [], []
+    passes, calls = _removability_calls(fresh, lambda: removable_edges(fresh))
+    assert Counter(passes) == Counter(c for c in classes if len(c) > 1)
+    assert calls == []
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is _connected_minus.__code__:
-            checks.append(frame.f_locals["r"])
-        elif event == "call" and frame.f_code is MultiGraph.components.__code__:
-            passes.append(frame.f_locals["self"])
 
-    sys.setprofile(profile)
-    try:
-        removable_edges(fresh)
-    finally:
-        sys.setprofile(None)
-    assert Counter(checks) == Counter(c for c in classes if len(c) > 1)
-    assert passes == []
+def _fresh(g):
+    return MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, g in _CORPUS if is_matching_covered(_fresh(g)) and epsilon(_fresh(g)) > 1]
+)
+def test_even_2cuts_build_no_graph(name):
+    # Each candidate pair {e, f} of a class is asked as one components
+    # pass on g's adjacency minus e and f: no graph g - e - f is built.
+    fresh = _fresh(dict(_CORPUS)[name])
+    equivalence_partition(fresh)
+    graphs = _calls(MultiGraph._init_parts.__code__, even_2cuts, fresh)
+    assert graphs == []
 
 
 def test_signature_pool_is_built_once_and_shared():

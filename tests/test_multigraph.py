@@ -167,6 +167,29 @@ def test_traversals_match_the_incidence_walks():
             assert g.components(iter(removed)) == incidence_components(g, removed)
 
 
+def test_components_without_edges_match_the_walk_of_the_graph_minus_them():
+    rng = random.Random(17)
+    parallel = 0
+    for g in _traversal_graphs():
+        ids = g.edge_ids
+        for _ in range(4):
+            without = rng.sample(ids, rng.randrange(min(len(ids), 4) + 1))
+            removed = [rng.choice(g.vertices + (0, 999)) for _ in range(rng.randrange(3))]
+            expected = incidence_components(g.delete_edges(without), removed)
+            assert g.components(removed, without=without) == expected
+            assert g.components(removed, without=frozenset(without)) == expected
+        for e in ids:
+            twins = g.edges_between(*g.endpoints(e))
+            if len(twins) > 1:
+                # one of two parallel edges goes; the pair must survive
+                parallel += 1
+                assert g.components(without=(e,)) == g.components()
+                assert g.components(without=twins) == incidence_components(g.delete_edges(twins))
+        with pytest.raises(DomainError, match="unknown edge id 1000"):
+            g.components(without=(1000,))
+    assert parallel > 10
+
+
 def test_c4_test_reads_decomposition_leaves_like_the_simple_graph_check():
     seen = set()
     for g in _traversal_graphs()[:30]:

@@ -252,6 +252,16 @@ def test_even_2cuts_shores_even():
             assert len(cut.edges) == 2
 
 
+@pytest.mark.parametrize("cls", [{1, 4}, {1, 2}], ids=["odd-shores", "adjacent"])
+def test_even_2cuts_refuse_a_pair_that_contradicts_the_theorem(monkeypatch, cls):
+    # Two edges of one class cut g into two even shores whenever g minus
+    # both is disconnected.  A false class whose pair cuts C6 into odd
+    # shores, or whose edges share an end, is an error, not a skipped pair.
+    monkeypatch.setattr(structure, "equivalence_partition", lambda g: [frozenset(cls)])
+    with pytest.raises(VerificationError, match="even-2-cuts"):
+        even_2cuts(named_graph("C6"))
+
+
 def _assert_even_2cuts_match_brute_force(g):
     found = even_2cuts(g)
     # same order and the very same shore, not just an equal cut
