@@ -210,6 +210,11 @@ def test_removability_builds_at_most_one_engine_per_class(name):
     assert engines == [] and graphs == 0
 
 
+def _fresh(g):
+    # A copy of g with an empty memo.
+    return MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+
+
 def _removability_calls(fresh, run):
     # The edge ids of every components pass during run(), each checked to
     # be on fresh itself, and the calls into what removability must not
@@ -219,13 +224,13 @@ def _removability_calls(fresh, run):
         MultiGraph._init_parts.__code__,
         _engine.__wrapped__.__code__,
     }
-    passes, calls = [], []
+    graphs, passes, calls = [], [], []
 
     def profile(frame, event, arg):
         if event != "call":
             return
         if frame.f_code is MultiGraph.components.__code__:
-            assert frame.f_locals["self"] is fresh
+            graphs.append(frame.f_locals["self"])
             passes.append(frozenset(frame.f_locals["without"]))
         elif frame.f_code in watched:
             calls.append(frame.f_code.co_name)
@@ -235,6 +240,7 @@ def _removability_calls(fresh, run):
         run()
     finally:
         sys.setprofile(None)
+    assert all(h is fresh for h in graphs)
     return passes, calls
 
 
@@ -249,8 +255,7 @@ def test_removability_builds_no_graph_and_asks_no_query(name):
     # g - R and no second engine.  The only connectivity pass is a
     # components pass on g minus a class of two or more edges.  On a
     # bipartite g the matching digraph of g - R decides each class.
-    g = dict(_CORPUS)[name]
-    fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+    fresh = _fresh(dict(_CORPUS)[name])
     larger = {c for c in equivalence_partition(fresh).classes if len(c) > 1}
 
     def run():
@@ -269,16 +274,11 @@ def test_nonbipartite_removability_checks_each_larger_class_once(name):
     # A matching covered graph of order >= 4 is 2-connected, so g - e is
     # connected: only a class of two or more edges gets a connectivity
     # check, exactly one components pass on g's adjacency minus the class.
-    g = dict(_CORPUS)[name]
-    fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+    fresh = _fresh(dict(_CORPUS)[name])
     classes = equivalence_partition(fresh).classes
     passes, calls = _removability_calls(fresh, lambda: removable_edges(fresh))
     assert Counter(passes) == Counter(c for c in classes if len(c) > 1)
     assert calls == []
-
-
-def _fresh(g):
-    return MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
 
 
 @pytest.mark.parametrize(
