@@ -5,7 +5,10 @@ Cut discovery is one lazy stream of verified cuts: cheap complete
 phases first (barrier cuts, cuts from 2-vertex separations), then, only
 when both are empty, an exact leaf certificate.  The 2-vertex
 separations come from the articulation points of each g - u, one
-depth-first search per vertex (Hopcroft-Tarjan).  A bipartite graph is
+depth-first search per vertex (Hopcroft-Tarjan), run only as the stream
+is read, so the first-cut search stops at its first tight 2-separation
+cut.  A bipartite graph yields no barrier cut: its maximal barriers are
+its colour classes, and deleting one leaves single vertices.  It is
 a brace when its matching digraph D(g, M) minus any one node stays
 strongly connected (n/2 pairs of reach passes, no search).  Any other
 bipartite graph is certified by the ordered brace scan, so the first
@@ -157,14 +160,17 @@ def _articulation_points(
     return reached, cut
 
 
-def _two_separation_candidates(g: MultiGraph) -> list[Cut]:
+def _two_separation_candidates(g: MultiGraph) -> Iterator[Cut]:
     # For every 2-vertex cut {u, v} and component K of g - u - v, the
     # shores K, K+u, K+v, K+uv are the only ways a tight cut can hug the
     # separation; each odd nontrivial one is offered for verification.
     # {u, v} is a 2-vertex cut exactly when v is an articulation point of
     # g - u, so one depth-first search per u finds the pairs, and
     # `components` runs only on them, in the order of the pair scan.
-    out: list[Cut] = []
+    # Lazy: the search for u runs only once the candidates of every
+    # earlier vertex have been read, so a reader that stops at the first
+    # tight cut scans no further, and a disconnected g - u raises
+    # VerificationError only when u is reached.
     seen: set[frozenset[int]] = set()
     n = g.n
     verts = g.vertices
@@ -189,8 +195,7 @@ def _two_separation_candidates(g: MultiGraph) -> list[Cut]:
                     if shore in seen:
                         continue
                     seen.add(shore)
-                    out.append(g.cut(shore))
-    return out
+                    yield g.cut(shore)
 
 
 def _brace_obstruction(

@@ -21,17 +21,18 @@ Those matchings make a per-graph pool (``_signatures``): the cached
 matching, then one perfect matching through each edge that no earlier
 pool matching holds.  Each edge's witness signature records which pool
 matchings hold it.  An edge is admissible exactly when its signature is
-nonzero, which is how ``is_matching_covered`` reads it, and the
-dependence module refutes dependence between edges whose signatures
-differ.
+nonzero, which is how ``is_matching_covered`` reads a nonbipartite
+graph, and the dependence module refutes dependence between edges whose
+signatures differ.
 
 On a bipartite graph a perfect matching M also gives the matching
 digraph D(G, M), one node per vertex of a side and an arc a -> M(b) for
 each edge ab.  ``_strongly_connected`` decides whether D, less the edges
 deleted and one optional node, is strongly connected, by one forward
-and one backward reach pass: that reads matching-coveredness (the
-removability of a bipartite class) and, node by node, the brace
-property, with no alternating search.
+and one backward reach pass: that reads matching-coveredness (of a
+bipartite graph, on the engine's matching, and the removability of a
+bipartite class) and, node by node, the brace property, with no
+alternating search and no pool.
 
 Parallel edges collapse in that adjacency (a matching never needs two
 parallel edges) and answers are lifted back to edge ids.  The
@@ -44,7 +45,7 @@ from __future__ import annotations
 import os
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, VerificationError
 from .multigraph import MultiGraph, _memoized
 
 DEFAULT_PM_BUDGET = 100_000
@@ -207,7 +208,8 @@ def _pm_minus(
         raise DomainError(f"unknown vertices: {sorted(gone - g._vset)}")
     if (g.n - len(gone)) % 2 == 1:
         return None
-    index, adj = g._adjacency()
+    index = g._adjacency()[0]
+    adj = g._adjacency_minus(without)
     cached = _engine(g)
     dead = {index[v] for v in gone}
     match = list(cached)
@@ -220,13 +222,11 @@ def _pm_minus(
         if w != -1:
             match[v] = match[w] = -1
             roots.append(w)
-    if without:
-        adj = g._adjacency_minus(without)
-        for f in without:
-            i, j = (index[x] for x in g.endpoints(f))
-            if match[i] == j and j not in adj[i]:
-                match[i] = match[j] = -1
-                roots += (i, j)
+    for f in without:
+        i, j = (index[x] for x in g.endpoints(f))
+        if match[i] == j and j not in adj[i]:
+            match[i] = match[j] = -1
+            roots += (i, j)
     if -1 in cached:
         roots += [v for v, w in enumerate(cached) if w == -1]
     for root in roots:
@@ -354,17 +354,31 @@ def _signatures(g: MultiGraph) -> dict[int, int]:
 def _mc_witness(g: MultiGraph) -> tuple[str, int | None] | None:
     """None when g is matching covered, else the first condition that
     fails as (reason, edge): order below 2, odd order, disconnected, no
-    perfect matching, or the least edge whose witness signature is 0."""
+    perfect matching, or the least edge whose witness signature is 0.
+
+    A connected bipartite g with a perfect matching M is matching
+    covered exactly when D(g, M) is strongly connected, so its verdict
+    takes two reach passes and no pool; only a graph that the digraph
+    rejects, or a nonbipartite one, builds the pool to name its edge."""
     if g.n < 2:
         return "order below 2", None
     if g.n % 2:
         return "odd order", None
     if not g.is_connected:
         return "disconnected", None
-    sig = _signatures(g)
-    if not any(sig.values()):  # the engine's maximum matching is not perfect
+    cached = _engine(g)
+    if -1 in cached:
         return "no perfect matching", None
-    return next((("inadmissible edge", e) for e in g.edge_ids if not sig[e]), None)
+    bipartite = g.is_bipartite
+    if bipartite and _strongly_connected(g, cached, 0):
+        return None
+    sig = _signatures(g)
+    witness = next((("inadmissible edge", e) for e in g.edge_ids if not sig[e]), None)
+    if bipartite and witness is None:
+        raise VerificationError(
+            "matching-covered", "D(g, M) is not strongly connected, yet every edge is admissible"
+        )
+    return witness
 
 
 def is_matching_covered(g: MultiGraph) -> bool:

@@ -314,8 +314,11 @@ class MultiGraph:
     def _adjacency_minus(self, ids: Collection[int]) -> tuple[tuple[int, ...], ...]:
         """The index adjacency lists without the vertex pairs all of whose
         parallel edges are in ``ids``; an id that is not an edge raises
-        ``DomainError``."""
+        ``DomainError``.  With no ids it is the shared ``_adjacency()``
+        tuple itself, not a copy."""
         index, adj = self._adjacency()
+        if not ids:
+            return adj
         rows = list(adj)
         for u, v in {self.endpoints(f) for f in ids}:
             if all(f in ids for f in self.edges_between(u, v)):
@@ -332,7 +335,7 @@ class MultiGraph:
         are not vertices are ignored.  No graph is built for ``without``:
         the pass reads the adjacency minus the pairs it empties."""
         gone = set(removed)
-        adj = self._adjacency_minus(without) if without else self._adjacency()[1]
+        adj = self._adjacency_minus(without)
         seen = [v in gone for v in self._vertices]
         out: list[frozenset[int]] = []
         for start in range(len(adj)):

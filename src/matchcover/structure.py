@@ -1,8 +1,10 @@
 """Barriers, the canonical partition, bicriticality, even 2-cuts, and
 vertex connectivity.  The partition, the even 2-cuts and the
-connectivity are memoized per graph.  The canonical partition takes one
-failed alternating search per part on the matching engine's cached
-perfect matching; the even 2-cuts are read off the equivalence classes,
+connectivity are memoized per graph.  The canonical partition of a
+bipartite graph is its two colour classes, with no search; any other
+graph's takes one failed alternating search per part on the matching
+engine's cached perfect matching; the even 2-cuts are read off the
+equivalence classes,
 one ``components`` pass over g's adjacency minus each candidate pair (no
 graph is built), so both need a matching covered graph.  Connectivity
 follows Esfahanian and Hakimi: unit-capacity flows on one vertex-split
@@ -36,7 +38,9 @@ def canonical_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
     """The partition of V(g) into maximal barriers, sorted by their
     smallest vertex.
 
-    u and v share one exactly when g - u - v is not matchable, that is
+    In a bipartite matching covered graph the maximal barriers are the
+    two colour classes (Lovasz-Plummer, Matching Theory), so that is the
+    answer, with no search.  Otherwise u and v share one exactly when g - u - v is not matchable, that is
     when v is outside the Gallai-Edmonds set D(g - u).  For each u not
     yet in a part, the cached perfect matching minus u's edge leaves
     u's mate w the one exposed vertex of g - u, so one search from w
@@ -45,6 +49,9 @@ def canonical_partition(g: MultiGraph) -> tuple[frozenset[int], ...]:
     engine bug surfaces as a hard error rather than a wrong partition.
     """
     _require_mc(g, "canonical partition")
+    colours = g.bipartition()
+    if colours is not None:
+        return tuple(sorted(colours, key=min))
     adj = g._adjacency()[1]
     cached = _engine(g)
     verts = g.vertices

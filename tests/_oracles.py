@@ -42,6 +42,9 @@ cut stream on every call.  ``incidence_components`` /
 incidence lists through ``other_end`` (the bipartition after a
 components pass), and ``simple_is_c4`` the earlier C4 test of a
 decomposition leaf, on its ``underlying_simple`` graph.
+``pool_mc_witness`` keeps the matching-covered verdict from before the
+matching digraph: every edge's witness signature, read off the pool,
+on bipartite graphs too.
 ``even_vertex_connectivity`` keeps the earlier connectivity, Even's
 scheme of up to (kappa+1)*n capped flows on the library's own network;
 ``brute_vertex_connectivity`` decides the same by subset enumeration.
@@ -273,6 +276,21 @@ def pool_removable(g: MultiGraph, r: frozenset[int]) -> bool:
     return (len(r) == 1 or rest.is_connected) and all(
         has_pm_containing(rest, (f,)) for f in ask
     )
+
+
+def pool_mc_witness(g: MultiGraph) -> tuple[str, int | None] | None:
+    """None when g is matching covered, else the first condition that
+    fails, each edge read off its witness signature in g's pool."""
+    if g.n < 2:
+        return "order below 2", None
+    if g.n % 2:
+        return "odd order", None
+    if not g.is_connected:
+        return "disconnected", None
+    sig = _signatures(g)
+    if not any(sig.values()):  # the engine's maximum matching is not perfect
+        return "no perfect matching", None
+    return next((("inadmissible edge", e) for e in g.edge_ids if not sig[e]), None)
 
 
 def direct_is_tight(g: MultiGraph, cut_edges: frozenset[int]) -> bool:

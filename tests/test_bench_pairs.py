@@ -1,4 +1,4 @@
-"""Argument parsing of ``tools/bench_pairs.py``."""
+"""Argument parsing and the pair summary of ``tools/bench_pairs.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -32,3 +32,46 @@ def test_repeated_flags_still_accumulate():
 def test_workload_and_seed_are_required():
     with pytest.raises(SystemExit):
         bench_pairs._parser().parse_args(_SIDES + ["--seed", "7"])
+
+
+_METRICS = {
+    "wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+    "ok_share": {"name": "ok_share", "better": "higher", "bound": 0.05},
+}
+
+
+def _runs(parent: dict[str, list[float]], change: dict[str, list[float]]) -> list[dict]:
+    # Synthetic result lines: one run per side and pair.
+    runs = []
+    for side, values in (("parent", parent), ("change", change)):
+        for pair in range(len(values["wall_s"])):
+            metrics = {name: {"value": values[name][pair]} for name in values}
+            runs.append({"side": side, "pair": pair, "metrics": metrics})
+    return runs
+
+
+def test_summary_marks_a_median_worse_than_its_bound():
+    runs = _runs(
+        {"wall_s": [1.0, 1.0, 1.0], "ok_share": [1.0, 1.0, 1.0]},
+        {"wall_s": [1.3, 1.2, 1.3], "ok_share": [0.9, 0.9, 1.0]},
+    )
+    summary = bench_pairs._summary(runs, _METRICS)
+    assert summary["wall_s"]["past_bound"] and summary["ok_share"]["past_bound"]
+    assert summary["wall_s"]["change_wins"] == 0
+    line = bench_pairs._summary_line("w@7", summary)
+    assert line == "w@7: wall_s 1 -> 1.3 s, change won 0/3; past bound: wall_s, ok_share"
+
+
+def test_summary_keeps_a_change_within_its_bound_or_better():
+    runs = _runs(
+        {"wall_s": [1.0, 1.0, 1.0], "ok_share": [1.0, 1.0, 1.0]},
+        {"wall_s": [1.2, 0.8, 1.25], "ok_share": [0.96, 1.0, 1.0]},
+    )
+    summary = bench_pairs._summary(runs, _METRICS)
+    assert not summary["wall_s"]["past_bound"] and not summary["ok_share"]["past_bound"]
+    assert summary["wall_s"]["change_wins"] == 1
+    line = bench_pairs._summary_line("w@7", summary)
+    assert line == "w@7: wall_s 1 -> 1.2 s, change won 1/3; past bound: none"
+    faster = _runs({"wall_s": [1.0], "ok_share": [0.5]}, {"wall_s": [0.1], "ok_share": [1.0]})
+    summary = bench_pairs._summary(faster, _METRICS)
+    assert not any(row["past_bound"] for row in summary.values())

@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from matchcover.cuts import (
     _is_brace,
     _decompose,
     _two_separation_candidates,
+    barrier_cuts,
     classify,
     contractions,
     exhaustive_nontrivial_tight_cut,
@@ -464,6 +466,20 @@ def test_two_separation_pass_matches_the_pair_scan():
         assert shores == [cut.shore for cut in brute_two_separation_candidates(g)], g
         separated += bool(shores)
     assert separated >= 20
+
+
+def test_first_cut_is_the_first_tight_cut_of_the_plain_scans():
+    # The search stops at its first tight candidate, and that is the first
+    # tight cut among the barrier cuts followed by the pair scan's
+    # 2-separation cuts, whenever those hold one.
+    checked = 0
+    for g in _scan_inputs():
+        plain = chain(barrier_cuts(g), brute_two_separation_candidates(g))
+        expected = next((cut for cut in plain if triple_is_tight(g, cut)), None)
+        if expected is not None:
+            assert find_nontrivial_tight_cut(g) == expected, g
+            checked += 1
+    assert checked >= 50
 
 
 def test_brace_test_matches_the_quadruple_scan():

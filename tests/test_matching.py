@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matchcover.matching
-from matchcover.errors import CapabilityError, DomainError
+from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.generators import named_graph
 from matchcover.matching import (
+    _mc_witness,
     _pm_minus,
     enumerate_pms,
     has_pm_containing,
@@ -21,9 +22,11 @@ from matchcover.matching import (
 )
 from matchcover.multigraph import MultiGraph
 
-from _oracles import all_pms, brute_matchable_minus, brute_max_matching
+from _oracles import all_pms, brute_matchable_minus, brute_max_matching, pool_mc_witness
 from conftest import (
     corpus_params,
+    gen,
+    gen_graph,
     random_graph,
     random_mc_graph,
     random_nonbipartite_mc_graph,
@@ -297,3 +300,62 @@ def test_pm_minus_without_edges_agrees_with_the_graph_minus_those_edges():
             seen["odd order"] += g.n % 2
             assert maximum_matching(g) == cached
     assert len(seen) == 6 and min(seen.values()) >= 20, seen
+
+
+def _bipartite_verdict_inputs() -> list[MultiGraph]:
+    # 240 seeded connected bipartite graphs with a perfect matching: odd
+    # ones matching covered by construction (a Hamiltonian cycle plus
+    # chords), even ones a planted perfect matching plus random edges
+    # across the sides (mostly not matching covered); every fourth with
+    # one edge doubled.
+    rng = random.Random(24)
+    graphs = []
+    while len(graphs) < 240:
+        k = rng.randrange(3, 10)
+        if len(graphs) % 2:
+            g = gen_graph(gen.bipartite_mc(rng, 2 * k, rng.randrange(k + 1)))
+        else:
+            mates = list(range(k + 1, 2 * k + 1))
+            rng.shuffle(mates)
+            edges = list(enumerate(mates, 1))
+            for _ in range(rng.randrange(k - 1, 3 * k)):
+                edges.append((rng.randrange(1, k + 1), rng.randrange(k + 1, 2 * k + 1)))
+            g = MultiGraph(2 * k, edges)
+            if not g.is_connected:
+                continue
+        if len(graphs) % 4 == 0:
+            g = g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0]
+        graphs.append(g)
+    return graphs
+
+
+def test_mc_witness_matches_the_pool_on_bipartite_graphs():
+    # The digraph verdict, and the edge the pool names when it says no,
+    # against the pool alone, each on its own copy of the graph.
+    seeded = _bipartite_verdict_inputs()
+    graphs = list(seeded)
+    for k in range(1, 7):
+        g = named_graph(f"K{k},{k}")
+        graphs += [g, g.add_edge(*g.endpoints(1))[0]]
+    for g in graphs:
+        assert g.is_bipartite
+        twin = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+        assert _mc_witness(g) == pool_mc_witness(twin), g
+    covered = sum(_mc_witness(g) is None for g in seeded)
+    assert covered >= 100 and len(seeded) - covered >= len(seeded) // 3
+
+
+@pytest.mark.parametrize("g", corpus_params())
+def test_mc_witness_matches_the_pool_on_the_corpus(g):
+    twin = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+    assert _mc_witness(g) == pool_mc_witness(twin)
+
+
+def test_mc_witness_refuses_a_digraph_that_contradicts_the_pool(monkeypatch):
+    # K3,3 is matching covered, so its matching digraph is strongly
+    # connected; a pass that says otherwise meets a pool in which every
+    # edge is admissible, which the theorem rules out.
+    monkeypatch.setattr(matchcover.matching, "_strongly_connected", lambda *args, **kw: False)
+    with pytest.raises(VerificationError) as info:
+        is_matching_covered(named_graph("K3,3"))
+    assert info.value.check == "matching-covered"

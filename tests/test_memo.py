@@ -50,7 +50,7 @@ from matchcover.matching import (
 from matchcover.multigraph import MultiGraph, canonical_form
 from matchcover.structure import _even_2cuts, canonical_partition, even_2cuts
 
-from conftest import _CORPUS, random_mc_graph
+from conftest import _CORPUS, gen, gen_graph, random_mc_graph
 
 
 def test_equivalence_partition_is_shared():
@@ -377,8 +377,10 @@ def test_brick_test_reads_bicriticality_off_the_canonical_partition(name):
 @pytest.mark.parametrize("name", [name for name, _ in _CORPUS] + ["(3,3) final"])
 def test_canonical_partition_runs_one_search_per_part(name):
     # One failed search from the mate of each part's first vertex replaces
-    # the pair queries (45 on the Petersen graph); the engine and the
-    # pool are built first, so every search counted is the partition's.
+    # the pair queries (45 on the Petersen graph), and a bipartite graph
+    # runs none: its parts are its colour classes.  The engine and the
+    # verdict are computed first, so every search counted is the
+    # partition's.
     g = build_high_kappa_epsilon(3, 3).final if name == "(3,3) final" else dict(_CORPUS)[name]
     fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
     assert is_matching_covered(fresh)
@@ -395,7 +397,10 @@ def test_canonical_partition_runs_one_search_per_part(name):
     finally:
         sys.setprofile(None)
     assert calls["_pm_minus"] == 0
-    assert 1 <= calls["_augment"] <= len(parts)
+    if fresh.is_bipartite:
+        assert calls["_augment"] == 0
+    else:
+        assert 1 <= calls["_augment"] <= len(parts)
 
 
 def _calls(code, fn, *args):
@@ -438,10 +443,11 @@ def test_brace_verdict_runs_no_search(name):
 @pytest.mark.parametrize("name", ["petersen", "prism3"])
 def test_two_separation_pass_skips_components_on_3_connected_graphs(name):
     # With no articulation point in any g - u, no pair needs a
-    # components pass (the pair scan makes n(n-1)/2 of them).
+    # components pass (the pair scan makes n(n-1)/2 of them).  The scan
+    # is lazy, so the spy drains it.
     g = named_graph(name)
     code = MultiGraph.components.__code__
-    assert _calls(code, _two_separation_candidates, g) == []
+    assert _calls(code, lambda: list(_two_separation_candidates(g))) == []
 
 
 def test_two_separation_pass_refuses_a_graph_with_a_cut_vertex():
@@ -449,8 +455,55 @@ def test_two_separation_pass_refuses_a_graph_with_a_cut_vertex():
     # matching covered graph of order >= 4 cannot have.
     g = MultiGraph(6, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
     with pytest.raises(VerificationError) as info:
-        _two_separation_candidates(g)
+        list(_two_separation_candidates(g))
     assert info.value.check == "two-separations"
+
+
+def _two_separated_bipartite_graphs() -> list[MultiGraph]:
+    # Bipartite graphs drawn as analyze-large draws its seeded ones, a
+    # Hamiltonian cycle plus n/4 chords at n = 16..24: sparse enough that
+    # each splits first along a 2-separation.
+    rng = random.Random(7)
+    return [
+        gen_graph(gen.relabel(rng, gen.bipartite_mc(rng, n, n // 4)))
+        for n in (16, 20, 20, 22, 22, 24, 24)
+    ]
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_first_cut_search_stops_at_its_first_two_separation_cut(index):
+    # The 2-separation phase is read one vertex at a time, so the search
+    # that takes the first tight cut runs fewer depth-first passes than
+    # the one per vertex that reading the whole phase runs.
+    g = _two_separated_bipartite_graphs()[index]
+    code = matchcover.cuts._articulation_points.__code__
+    passes = _calls(code, find_nontrivial_tight_cut, g)
+    assert not barrier_cuts(g)
+    assert find_nontrivial_tight_cut(g) in list(_two_separation_candidates(g))
+    assert len(passes) < g.n
+    assert len(_calls(code, tight_cut_candidates, g)) == g.n
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_bipartite_decomposition_builds_no_signature_pool(index):
+    # Every matching-covered verdict on a bipartite graph comes from its
+    # matching digraph and its canonical partition from its colour
+    # classes, so neither the root nor any contraction gets a pool.
+    g = _two_separated_bipartite_graphs()[index]
+    pools = _calls(_signatures.__wrapped__.__code__, tight_cut_decomposition, g)
+    assert tight_cut_decomposition(g).splits
+    assert pools == []
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, g in _CORPUS if g.is_bipartite and is_matching_covered(g)]
+)
+def test_bipartite_verdict_asks_no_matching_query(name):
+    # Two reach passes over D(g, M) decide it, on the engine's matching.
+    g = dict(_CORPUS)[name]
+    fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+    assert _calls(_pm_minus.__code__, is_matching_covered, fresh) == []
+    assert is_matching_covered(fresh)
 
 
 def test_brace_test_refuses_a_failed_augmentation(monkeypatch):
@@ -506,7 +559,7 @@ def test_brace_certificate_stays_on_one_matching(index):
     # any graph but g.
     g = _certificate_graphs()[index]
     if index == 0:
-        assert not barrier_cuts(g) and not _two_separation_candidates(g)
+        assert not barrier_cuts(g) and not list(_two_separation_candidates(g))
     engines, calls = [], []
     watched = {MultiGraph.delete_vertices.__code__, maximum_matching.__code__}
 

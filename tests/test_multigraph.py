@@ -190,6 +190,15 @@ def test_components_without_edges_match_the_walk_of_the_graph_minus_them():
     assert parallel > 10
 
 
+def test_adjacency_minus_no_edges_is_the_shared_adjacency():
+    # No copy of the rows for the passes that delete nothing: components,
+    # the matching-covered verdict and the brace test.
+    g = named_graph("K3,3")
+    assert g._adjacency_minus(()) is g._adjacency()[1]
+    assert g._adjacency_minus(frozenset()) is g._adjacency()[1]
+    assert g._adjacency_minus((1,)) is not g._adjacency()[1]
+
+
 def test_c4_test_reads_decomposition_leaves_like_the_simple_graph_check():
     seen = set()
     for g in _traversal_graphs()[:30]:

@@ -18,8 +18,12 @@ per-layer metrics are kept with their change-minus-parent deltas.
 
 The output holds every run (its result line), and per workload@seed and
 end-to-end metric each side's median and quartiles, the pairs the
-change won and the gap between the medians.  ``--append`` merges into
-an existing file, replacing only the workload@seed entries run again.
+change won, the gap between the medians, and ``past_bound``: whether
+the change's median is worse than the parent's by more than the
+metric's ``BENCHMARK.json`` bound, taken as a share of the parent's
+median.  At the end one line per workload@seed run sums this up.
+``--append`` merges into an existing file, replacing only the
+workload@seed entries run again.
 """
 
 from __future__ import annotations
@@ -68,20 +72,33 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def _summary(runs: list[dict], better: dict[str, str]) -> dict:
+def _summary(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per end-to-end metric (name -> its ``BENCHMARK.json`` entry, with
+    ``better`` and ``bound``), both sides' spread over ``runs``."""
     out = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         value = {side: [r["metrics"][name]["value"] for r in runs if r["side"] == side]
                  for side in SIDES}
-        sign = 1 if direction == "lower" else -1
+        sign = 1 if spec["better"] == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(value["parent"], value["change"]))
         row = {side: {**_spread(value[side]), "runs": value[side]} for side in SIDES}
         row["change_wins"] = wins
         row["pairs"] = len(value["change"])
         row["median_gap"] = row["parent"]["median"] - row["change"]["median"]
         row["parent_iqr"] = row["parent"]["q3"] - row["parent"]["q1"]
+        worse = sign * (row["change"]["median"] - row["parent"]["median"])
+        row["past_bound"] = worse > spec["bound"] * abs(row["parent"]["median"])
         out[name] = row
     return out
+
+
+def _summary_line(key: str, summary: dict) -> str:
+    """wall_s's medians and wins, and every metric past its bound."""
+    wall = summary["wall_s"]
+    past = [name for name, row in summary.items() if row["past_bound"]]
+    return (f"{key}: wall_s {wall['parent']['median']:.4g} -> {wall['change']['median']:.4g} s, "
+            f"change won {wall['change_wins']}/{wall['pairs']}; "
+            f"past bound: {', '.join(past) or 'none'}")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -101,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     dirty = {side: _src_dirty(path) for side, path in checkouts.items()}
     tree = {side: None if dirty[side] else _git(path, "rev-parse", "HEAD:src") or None
@@ -127,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{key} pair {pair} {side}: wall_s {wall:.4g} "
                           f"correct {result['correct']}", flush=True)
             bench["runs"] += runs
-            bench["summary"][key] = _summary(runs, better)
+            bench["summary"][key] = _summary(runs, metrics)
             if args.trace:
                 traced = {}
                 for side in SIDES:
@@ -140,6 +157,10 @@ def main(argv: list[str] | None = None) -> int:
     bench["src_tree"] = tree
     bench["src_lines"] = lines
     args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+    for workload in args.workload:
+        for seed in args.seed:
+            key = f"{workload}@{seed}"
+            print(_summary_line(key, bench["summary"][key]))
     return 0 if all(r["correct"] for r in bench["runs"]) else 1
 
 
