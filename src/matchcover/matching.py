@@ -382,7 +382,8 @@ def _mc_witness(g: MultiGraph) -> tuple[str, int | None] | None:
 
 
 def is_matching_covered(g: MultiGraph) -> bool:
-    """Connected, order >= 2, and every edge admissible: every witness
+    """Connected, order >= 2, and every edge admissible: on a bipartite
+    graph, D(g, M) strongly connected; on any other, every witness
     signature nonzero."""
     return _mc_witness(g) is None
 
