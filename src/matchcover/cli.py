@@ -53,6 +53,8 @@ from .splicing import SpliceSpec, check_merge, splice, splice_variants
 from .structure import canonical_partition, even_2cuts
 
 SCHEMA_VERSION = 1
+# analyze asks is_solid_brick only of bricks up to this order; above it,
+# solidBrick is null, with no refusal.
 SOLID_CHECK_LIMIT = 14
 
 

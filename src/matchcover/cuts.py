@@ -87,8 +87,6 @@ def is_tight_cut(g: MultiGraph, c: Cut | frozenset[int]) -> bool:
 def _is_tight(cut: Cut) -> bool:
     if not cut.is_odd:
         return False
-    if cut.is_trivial:
-        return True
     g = cut.graph
     edges = sorted(cut.edges)
     ends = {e: g.endpoints(e) for e in edges}
@@ -270,7 +268,8 @@ def _bipartite_tight_cut(
         return None
     obstruction = _brace_obstruction(g, parts)
     if obstruction is None:
-        return None
+        # 2-extendability: the digraph and the ordered scan must agree.
+        raise VerificationError("brace-test", "D(g, M) finds no brace, yet no 4-tuple fails")
     _, s = obstruction
     nbhd: set[int] = set()
     for a in s:
@@ -335,6 +334,12 @@ def _tight_cuts(g: MultiGraph) -> Iterator[Cut]:
                 if is_tight_cut(g, cut):
                     found = True
                     yield cut
+                elif phase is barrier_cuts:
+                    # Around each odd component of g - B, for a barrier B of
+                    # a matching covered graph, the cut is tight.
+                    raise VerificationError(
+                        "barrier-cuts", f"the cut around {sorted(cut.shore)} is not tight"
+                    )
     if found:
         return
     parts = g.bipartition()

@@ -5,7 +5,8 @@ blossom shrinking (Edmonds 1965), ``_augment``, the package's only
 alternating search.  It runs on the graph's one index adjacency
 (``MultiGraph._adjacency``: the vertex index map and the simple
 adjacency lists over indices); the first query against a graph builds
-one maximum matching on it and keeps that in the graph's memo.  Each query
+one maximum matching on it, by one search from each vertex still
+exposed in index order, and keeps that in the graph's memo.  Each query
 "does g minus the vertices S and the edges F have a perfect matching?"
 (``_pm_minus``, behind ``matchable_minus``, ``has_pm_containing``, the
 dependence test, removability and ``verify_trace``'s inadmissibility
@@ -113,7 +114,8 @@ def _augment(
     """
     for to in adj[root]:
         if match[to] == -1 and to not in dead:
-            # An augmenting path of one edge: the search would find it first.
+            # An augmenting path of one edge: the search would find it
+            # first.  This step is also the engine's greedy match.
             match[root] = to
             match[to] = root
             return None
@@ -163,17 +165,9 @@ def _augment(
 def _engine(g: MultiGraph) -> tuple[int, ...]:
     """One maximum matching of g over the indices of ``g._adjacency()``,
     as a mate tuple (-1 for exposed vertices) that queries copy and
-    never mutate."""
+    never mutate: one ``_augment`` from each exposed vertex in turn."""
     adj = g._adjacency()[1]
     match = [-1] * g.n
-    # Greedy seed matching: cheap, cuts the number of searches.
-    for v, nbrs in enumerate(adj):
-        if match[v] == -1:
-            for w in nbrs:
-                if match[w] == -1:
-                    match[v] = w
-                    match[w] = v
-                    break
     for v in range(g.n):
         if match[v] == -1:
             _augment(adj, match, v, ())
@@ -406,8 +400,6 @@ def enumerate_pms(g: MultiGraph) -> list[frozenset[int]]:
     time) raises ``CapabilityError``.
     """
     limit = pm_budget()
-    if g.n % 2 == 1:
-        return []
     results: list[frozenset[int]] = []
     covered: set[int] = set()
     chosen: list[int] = []

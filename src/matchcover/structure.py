@@ -213,8 +213,6 @@ def vertex_connectivity(g: MultiGraph) -> int:
     nbrs = g._adjacency()[1]
     v = min(range(n), key=lambda i: len(nbrs[i]))
     best = len(nbrs[v])
-    if best == n - 1:
-        return best
     head, cap, arcs = _split_network(nbrs)
     adjacent = set(nbrs[v])
     for j in range(n):

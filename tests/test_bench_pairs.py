@@ -1,6 +1,7 @@
 """Argument parsing and the pair summary of ``tools/bench_pairs.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,31 @@ def test_summary_keeps_a_change_within_its_bound_or_better():
     faster = _runs({"wall_s": [1.0], "ok_share": [0.5]}, {"wall_s": [0.1], "ok_share": [1.0]})
     summary = bench_pairs._summary(faster, _METRICS)
     assert not any(row["past_bound"] for row in summary.values())
+
+
+def test_main_traces_every_workload(tmp_path, monkeypatch):
+    # The traced run's metrics must not replace the end-to-end metric
+    # table that the next workload's summary reads.
+    for side in ("p", "c"):
+        (tmp_path / side).mkdir()
+    spec = {"end_to_end": list(_METRICS.values())}
+    (tmp_path / "c" / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run(checkout, workload, seed, trace):
+        names = ["wall_s", "ok_share"] + (["layer.calls"] if trace else [])
+        return {"correct": True, "metrics": {name: {"value": 1.0} for name in names}}
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    monkeypatch.setattr(bench_pairs, "_git", lambda checkout, *args: "tree")
+    monkeypatch.setattr(bench_pairs, "_src_dirty", lambda checkout: False)
+    monkeypatch.setattr(bench_pairs, "_src_lines", lambda checkout: 10)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "p"), "--change", str(tmp_path / "c"),
+            "--out", str(out), "--workload", "a", "b", "--seed", "7",
+            "--pairs", "1", "--trace"]
+    assert bench_pairs.main(argv) == 0
+    bench = json.loads(out.read_text())
+    assert sorted(bench["summary"]) == sorted(bench["traced"]) == ["a@7", "b@7"]
+    assert all(set(row) == set(_METRICS) for row in bench["summary"].values())
+    assert all(t["delta"] == {"layer.calls": 0.0, "ok_share": 0.0, "wall_s": 0.0}
+               for t in bench["traced"].values())

@@ -437,3 +437,22 @@ def test_analyze_k66_needs_no_canonical_form(capsys):
     assert code == 0
     report = json.loads(out)
     assert (report["b"], report["c4"], report["classification"]) == (0, 0, "brace")
+
+
+def test_readme_analyze_transcript_matches_the_cli(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("$ matchcover analyze C6bar\n", 1)[1].split("```", 1)[0]
+    code, out, _ = run(capsys, "analyze", "C6bar")
+    assert code == 0
+    assert out == block
+
+
+@pytest.mark.parametrize("name, solid", [("W13", True), ("W15", None)])
+def test_solidity_is_asked_only_up_to_the_solid_check_limit(capsys, name, solid):
+    # W13 has 14 vertices, at cli.SOLID_CHECK_LIMIT; W15 has 16 and gets
+    # null with no refusal.
+    code, out, _ = run(capsys, "analyze", name, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["classification"] == "brick"
+    assert report["solidBrick"] is solid

@@ -30,7 +30,7 @@ from matchcover.cuts import (
     tight_cut_decomposition,
     verify_bounds,
 )
-from matchcover.errors import CapabilityError, DomainError
+from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.generators import MARKED_CUT_SHORES, named_graph
 from matchcover.matching import is_matching_covered
 from matchcover.multigraph import MultiGraph, canonical_form, format_graph
@@ -542,3 +542,23 @@ def test_brace_verdict_matches_the_ordered_and_quadruple_scans():
         braces += verdict
         obstructed += not verdict
     assert braces >= 150 and obstructed >= 150
+
+
+def test_brace_test_raises_when_the_ordered_scan_finds_no_obstruction(monkeypatch):
+    # C8 is no brace, so the digraph rejects it; a scan that then finds
+    # no failing 4-tuple contradicts 2-extendability.
+    g = named_graph("C8")
+    monkeypatch.setattr(matchcover.cuts, "_brace_obstruction", lambda g, parts: None)
+    with pytest.raises(VerificationError) as err:
+        _bipartite_tight_cut(g, g.bipartition())
+    assert err.value.check == "brace-test"
+
+
+def test_a_barrier_cut_that_is_not_tight_raises(monkeypatch):
+    # The cut around an odd component of g - B is tight for every barrier
+    # B of a matching covered graph, so the barrier phase refuses to skip one.
+    g = named_graph("fig2c")
+    monkeypatch.setattr(matchcover.cuts, "is_tight_cut", lambda g, cut: False)
+    with pytest.raises(VerificationError) as err:
+        find_nontrivial_tight_cut(g)
+    assert err.value.check == "barrier-cuts"

@@ -148,8 +148,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.trace:
                 traced = {}
                 for side in SIDES:
-                    metrics = _run(checkouts[side], workload, seed, True)["metrics"]
-                    traced[side] = {k: v["value"] for k, v in metrics.items()}
+                    layers = _run(checkouts[side], workload, seed, True)["metrics"]
+                    traced[side] = {k: v["value"] for k, v in layers.items()}
                 traced["delta"] = {k: traced["change"][k] - traced["parent"].get(k, 0)
                                    for k in traced["change"]}
                 bench["traced"][key] = traced
