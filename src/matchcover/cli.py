@@ -27,14 +27,12 @@ from .cuts import (
     find_nontrivial_tight_cut,
     is_solid_brick,
     make_chooser,
+    removable_classes,
+    removable_edges,
     tight_cut_decomposition,
     verify_bounds,
 )
-from .dependence import (
-    equivalence_partition,
-    removable_classes,
-    removable_edges,
-)
+from .dependence import equivalence_partition
 from .errors import (
     CapabilityError,
     DomainError,

@@ -28,6 +28,15 @@ candidate list, each decomposition leaf's canonical form and the default
 decomposition are memoized per graph, and a cut's contractions and
 tightness per ``Cut``, so cut-choice strategies that pick the same
 candidate share the whole subtree below it.
+
+Removability is read off the memoized decomposition.  A class R of g
+meets each leaf L in nothing or in a class of L, and g - R is matching
+covered iff L - (R & E(L)) is for every leaf L that R meets.  Only
+bricks and order-4 leaves need a test: every edge of a brace on six or
+more vertices is removable (Carvalho, Lucchesi and Murty 1999).  A
+brick leaf asks the growing-table test ``_removability`` of its own
+engine and pool; a C4 leaf (up to multiplicity) keeps R exactly when
+each of its four sides keeps an edge.  No graph L - R is built.
 """
 
 from __future__ import annotations
@@ -39,12 +48,14 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
-from .dependence import epsilon
+from .dependence import _check_ids, epsilon, equivalence_partition
 from .errors import CapabilityError, DomainError, VerificationError
 from .matching import (
     _augment,
     _engine,
+    _pm_minus,
     _require_mc,
+    _signatures,
     _strongly_connected,
     has_pm_containing,
     is_matching_covered,
@@ -523,6 +534,128 @@ def separating_cut_decomposition(g: MultiGraph) -> DecompositionResult:
     so the applied cut sequence is part of the result."""
     _require_mc(g, "separating cut decomposition")
     return _decompose(g, nontrivial_separating_cut, "separating")
+
+
+# -- removability ------------------------------------------------------------
+
+
+def _require_removability(g: MultiGraph) -> None:
+    if g.n == 2:
+        raise DomainError("edge removability is undefined on a graph of order 2")
+    _require_mc(g, "removability")
+
+
+def _removability(g: MultiGraph) -> Callable[[frozenset[int]], bool]:
+    """The test "is g - r matching covered?" for r one edge or one class
+    of g, asked of the brick leaves of a decomposition.
+
+    Every query is asked of g's own engine, as a perfect matching of g
+    minus vertices and the edges of r (``_pm_minus``); no graph g - r is
+    built.  g - r must be connected and every edge f outside r must lie
+    in a perfect matching of g - r.  The edges of a class are mutually
+    dependent, so a perfect matching that avoids ``e = min(r)`` avoids
+    all of r.  A table of witness signatures, copied from g's pool,
+    settles every f that some table matching holds without e; each open
+    f is asked as ``_pm_minus(g, ends(f), r)``, and the matching that
+    answers joins the table, so it can settle the candidates of later
+    calls too.  Only a larger class needs a connectivity pass,
+    ``g.components(without=r)``: a matching covered graph of order >= 4
+    is 2-connected.  The table lives as long as the returned test, not
+    in g's memo.
+    """
+    sig = dict(_signatures(g))
+    index = g._adjacency()[0]
+    pairs = {f: (index[u], index[v]) for f, (u, v) in g.edge_items()}
+    bit = 1 << max(sig.values()).bit_length()  # the next unused bit
+
+    def removable(r: frozenset[int]) -> bool:
+        nonlocal bit
+        e = min(r)
+        if len(r) > 1 and len(g.components(without=r)) != 1:
+            return False
+        for f in g.edge_ids:
+            if f in r or sig[f] & ~sig[e]:
+                continue
+            match = _pm_minus(g, frozenset(g.endpoints(f)), r)
+            if match is None:
+                return False
+            i, j = pairs[f]
+            match[i], match[j] = j, i
+            for h, (x, y) in pairs.items():
+                if match[x] == y:
+                    sig[h] |= bit
+            bit <<= 1
+        return True
+
+    return removable
+
+
+def _leaf_removability(h: MultiGraph, tag: str) -> Callable[[frozenset[int]], bool]:
+    # The test "is h - r matching covered?" for r a class of the leaf h.
+    if tag == "brick":
+        return _removability(h)
+    if h.n == 4:
+        # C4 up to multiplicity: h - r is matching covered exactly when
+        # each of the four sides keeps an edge; with a side gone, the
+        # path left has a middle edge in no perfect matching.
+        return lambda r: all(len(row) == 2 for row in h._adjacency_minus(r))
+
+    def brace(r: frozenset[int]) -> bool:
+        # Every edge of a brace of order >= 6 is removable, so each of
+        # its classes is a single edge (Carvalho-Lucchesi-Murty 1999).
+        if len(r) > 1:
+            raise VerificationError(
+                "removability", f"edges {sorted(r)} form a class of a brace on {h.n} vertices"
+            )
+        return True
+
+    return brace
+
+
+@_memoized
+def _removable_classes(g: MultiGraph) -> tuple[frozenset[int], ...]:
+    # A class R of g meets each leaf L of the tight cut decomposition in
+    # nothing or in a class of L (restriction across a tight cut, as in
+    # ``splicing.restrict_class``), and g - R is matching covered iff
+    # L - (R & E(L)) is for every leaf L that R meets: a perfect matching
+    # of g is one of each contraction, the two agreeing on the cut edge.
+    # Leaves keep g's edge ids, so R & E(L) is a plain intersection.
+    leaves = tight_cut_decomposition(g).leaves
+    tests = [_leaf_removability(h, tag) for h, tag in leaves]
+    owner: dict[int, list[int]] = {}
+    for i, (h, _) in enumerate(leaves):
+        for e in h.edge_ids:
+            owner.setdefault(e, []).append(i)
+
+    def removable(c: frozenset[int]) -> bool:
+        parts: dict[int, set[int]] = {}
+        for e in sorted(c):
+            for i in owner[e]:
+                parts.setdefault(i, set()).add(e)
+        return all(tests[i](frozenset(r)) for i, r in parts.items())
+
+    return tuple(c for c in equivalence_partition(g).classes if removable(c))
+
+
+def is_removable_edge(g: MultiGraph, e: int) -> bool:
+    """Is g - e still matching covered?  Exactly when {e} is a removable
+    class (an edge of a larger class is never removable)."""
+    _require_removability(g)
+    _check_ids(g, e)
+    return frozenset((e,)) in _removable_classes(g)
+
+
+def removable_edges(g: MultiGraph) -> tuple[int, ...]:
+    """The removable edges, in id order: the members of the removable
+    singleton classes (an edge of a larger class is never removable)."""
+    _require_removability(g)
+    return tuple(min(c) for c in _removable_classes(g) if len(c) == 1)
+
+
+def removable_classes(g: MultiGraph) -> tuple[frozenset[int], ...]:
+    """The classes R of the partition for which g - R is matching covered."""
+    _require_removability(g)
+    return _removable_classes(g)
 
 
 # -- classification ----------------------------------------------------------

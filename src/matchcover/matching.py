@@ -28,11 +28,10 @@ signatures differ.
 
 On a bipartite graph a perfect matching M also gives the matching
 digraph D(G, M), one node per vertex of a side and an arc a -> M(b) for
-each edge ab.  ``_strongly_connected`` decides whether D, less the edges
-deleted and one optional node, is strongly connected, by one forward
-and one backward reach pass: that reads matching-coveredness (of a
-bipartite graph, on the engine's matching, and the removability of a
-bipartite class) and, node by node, the brace property, with no
+each edge ab.  ``_strongly_connected`` decides whether D, less one
+optional node, is strongly connected, by one forward and one backward
+reach pass: that reads a bipartite graph's matching-coveredness, on the
+engine's matching, and, node by node, the brace property, with no
 alternating search and no pool.
 
 Parallel edges collapse in that adjacency (a matching never needs two
@@ -266,23 +265,21 @@ def is_admissible(g: MultiGraph, e: int) -> bool:
     return has_pm_containing(g, (e,))
 
 
-def _strongly_connected(
-    g: MultiGraph, match: Sequence[int], root: int, gone: Collection[int] = (), skip: int = -1
-) -> bool:
-    """Is D(g - gone, match) minus the node ``skip`` strongly connected?
+def _strongly_connected(g: MultiGraph, match: Sequence[int], root: int, skip: int = -1) -> bool:
+    """Is D(g, match) minus the node ``skip`` strongly connected?
 
-    ``g`` is bipartite, ``gone`` a set of edge ids and ``match`` a
-    perfect matching of g - gone, as a mate sequence over the engine's
-    indices.  D has one node per vertex on ``root``'s side, with an arc
-    a -> match[b] for each edge ab of g - gone (``g._adjacency_minus``);
-    ``skip`` is a node on that side other than ``root``, or -1.  One
-    forward and one backward reach pass from ``root`` decide it.
+    ``g`` is bipartite and ``match`` a perfect matching of g, as a mate
+    sequence over the engine's indices.  D has one node per vertex on
+    ``root``'s side, with an arc a -> match[b] for each edge ab of g
+    (``g._adjacency``); ``skip`` is a node on that side other than
+    ``root``, or -1.  One forward and one backward reach pass from
+    ``root`` decide it.
 
-    With M = match, g - gone is matching covered iff D is strongly
-    connected, and then, at order >= 6, a brace iff every D - x is
-    (Lakhal-Litzler 1998; Robertson-Seymour-Thomas 1999).
+    With M = match, g is matching covered iff D is strongly connected,
+    and then, at order >= 6, a brace iff every D - x is (Lakhal-Litzler
+    1998; Robertson-Seymour-Thomas 1999).
     """
-    adj = g._adjacency_minus(gone)
+    adj = g._adjacency()[1]
     need = len(match) // 2 - (skip != -1)
     for backward in (False, True):
         seen = [False] * len(match)

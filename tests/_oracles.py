@@ -24,6 +24,9 @@ perfect matchings alone, and ``pool_removable`` keeps the removability
 from before the matching digraph and the growing table: the candidates
 that g's signature pool leaves open, each asked of one ``g - R``
 engine, with a connectivity pass for a larger class.
+``table_removable_classes`` keeps the removability from before the
+decomposition: one pass over g's own classes, a bipartite class decided
+by the matching digraph D(g - R, M'), any other by the growing table.
 ``brute_two_separation_candidates`` / ``brute_brace_obstruction`` keep the earlier tight-cut scans: one
 ``components`` pass per vertex pair, and one ``matchable_minus`` query
 per 4-tuple.  ``brute_hall_violator`` keeps the earlier Hall-set search
@@ -59,7 +62,7 @@ from operator import itemgetter
 
 from typing import Callable, Optional, Sequence, TypeVar
 
-from matchcover.cuts import _as_cut, _tight_cuts, contractions, is_tight_cut
+from matchcover.cuts import _as_cut, _removability, _tight_cuts, contractions, is_tight_cut
 from matchcover.dependence import EquivalencePartition, _check_ids, equivalence_partition
 from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.matching import (
@@ -276,6 +279,38 @@ def pool_removable(g: MultiGraph, r: frozenset[int]) -> bool:
     return (len(r) == 1 or rest.is_connected) and all(
         has_pm_containing(rest, (f,)) for f in ask
     )
+
+
+def _digraph_removable(g: MultiGraph, r: frozenset[int]) -> bool:
+    # Bipartite g: g - r is matching covered iff D(g - r, M') is strongly
+    # connected, for M' a perfect matching of g - r: one forward and one
+    # backward reach pass from node 0 over g's adjacency minus r.
+    match = _pm_minus(g, frozenset(), r)
+    if match is None:
+        raise VerificationError("removability", f"no perfect matching avoids edge {min(r)}")
+    adj = g._adjacency_minus(r)
+    for backward in (False, True):
+        seen = {0}
+        queue = [0]
+        for a in queue:
+            heads = adj[match[a]] if backward else (match[b] for b in adj[a])
+            for t in heads:
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+        if len(queue) < g.n // 2:
+            return False
+    return True
+
+
+def table_removable_classes(g: MultiGraph) -> tuple[frozenset[int], ...]:
+    """The removable classes from one pass over g's whole partition, with
+    no decomposition: on a bipartite g each class R is decided by the
+    matching digraph D(g - R, M'), on any other by the growing table of
+    witness signatures (``cuts._removability``) asked of g itself."""
+    _reject_k2(g)
+    removable = (lambda r: _digraph_removable(g, r)) if g.is_bipartite else _removability(g)
+    return tuple(c for c in equivalence_partition(g).classes if removable(c))
 
 
 def pool_mc_witness(g: MultiGraph) -> tuple[str, int | None] | None:

@@ -13,15 +13,12 @@ from matchcover.cuts import (
     is_separating_cut,
     is_tight_cut,
     make_chooser,
+    removable_classes,
+    removable_edges,
     tight_cut_decomposition,
     verify_bounds,
 )
-from matchcover.dependence import (
-    epsilon,
-    equivalence_partition,
-    removable_classes,
-    removable_edges,
-)
+from matchcover.dependence import epsilon, equivalence_partition
 from matchcover.generators import (
     MARKED_CUT_SHORES,
     build_high_kappa_epsilon,

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 import sys
 
@@ -5,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import matchcover.dependence
-from matchcover.dependence import (
+import matchcover.cuts
+from matchcover.cuts import (
+    _leaf_removability,
     _removability,
+    is_removable_edge,
+    removable_classes,
+    removable_edges,
+    tight_cut_decomposition,
+)
+from matchcover.dependence import (
+    EquivalencePartition,
     class_of,
     depends_on,
     epsilon,
     equivalence_partition,
     is_equivalence_class,
-    is_removable_edge,
     mutually_dependent,
-    removable_classes,
-    removable_edges,
 )
 from matchcover.errors import DomainError, VerificationError
 from matchcover.generators import build_high_kappa_epsilon, labeled_edge, named_graph
@@ -36,6 +43,7 @@ from _oracles import (
     pool_removable,
     search_depends,
     sweep_removable,
+    table_removable_classes,
 )
 from conftest import (
     _CORPUS,
@@ -44,6 +52,7 @@ from conftest import (
     gen_graph,
     random_mc_graph,
     random_nonbipartite_mc_graph,
+    random_splice,
     sparse_mc_graphs,
 )
 
@@ -236,7 +245,7 @@ def test_removability_agrees_with_per_edge_tests(g):
     _assert_removability_agrees(g)
 
 
-@pytest.mark.parametrize("n", (18, 20))
+@pytest.mark.parametrize("n", (18, 20, 22))
 def test_removability_agrees_with_per_edge_tests_on_sparse_graphs(n):
     for g in sparse_mc_graphs(n):
         _assert_removability_agrees(g)
@@ -306,6 +315,118 @@ def test_removability_with_each_edge_doubled(name):
         _assert_removability_agrees(h)
         assert is_removable_edge(h, e) and is_removable_edge(h, twin)
         assert {frozenset((e,)), frozenset((twin,))} <= set(removable_classes(h))
+
+
+def _assert_removability_agrees_with_brute_force(g: MultiGraph) -> None:
+    classes = removable_classes(g)
+    edges = removable_edges(g)
+    assert classes == brute_removable_classes(g)
+    assert edges == brute_removable_edges(g)
+    assert [is_removable_edge(g, e) for e in g.edge_ids] == [e in edges for e in g.edge_ids]
+
+
+def _leaf_kinds(g: MultiGraph) -> set[str]:
+    # What the decomposition of g holds that removability reads leaf by leaf.
+    leaves = tight_cut_decomposition(g).leaves
+    kinds = {"c4" for h, tag in leaves if tag == "brace" and h.n == 4}
+    if len(leaves) > 1:
+        kinds.add("several")
+        if any(tag == "brick" for _, tag in leaves):
+            kinds.add("brick beside")
+    if any(tag == "brick" and h.n == 4 and h.m > 6 for h, tag in leaves):
+        kinds.add("K4 with parallel edges")
+    return kinds
+
+
+def test_removability_agrees_on_seeded_graphs_with_several_leaves():
+    # Random matching covered graphs up to 14 vertices, half of them
+    # nonbipartite and every third with one edge doubled, decided leaf by
+    # leaf: brick leaves by the table, C4 leaves by their four sides.
+    rng = random.Random(26_2019)
+    seen = collections.Counter()
+    for i in range(300):
+        make = random_mc_graph if i % 2 else random_nonbipartite_mc_graph
+        g = make(rng, rng.choice((6, 8, 10, 12, 14)), rng.randrange(0, 8))
+        if i % 3 == 0:
+            g = g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0]
+        _assert_removability_agrees_with_brute_force(g)
+        seen.update(_leaf_kinds(g))
+    assert seen["several"] >= 200 and seen["c4"] >= 200 and seen["brick beside"] >= 80
+    assert seen["K4 with parallel edges"] >= 20
+
+
+def test_removability_agrees_on_seeded_splices_of_small_leaves():
+    # A brick or a brace spliced into a random graph, every third result
+    # with one edge doubled, which can leave a K4 leaf with parallel edges.
+    rng = random.Random(2_6)
+    pieces = ("K4", "prism3", "C6bar", "W5", "C4", "K3,3", "petersen")
+    seen = collections.Counter()
+    done = 0
+    while done < 100:
+        base = random_mc_graph(rng, rng.choice((6, 8, 10)), rng.randrange(0, 6))
+        g = random_splice(rng, base, named_graph(pieces[done % len(pieces)]))
+        if g is None:
+            continue
+        if done % 3 == 0:
+            g = g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0]
+        _assert_removability_agrees_with_brute_force(g)
+        seen.update(_leaf_kinds(g))
+        done += 1
+    assert seen["brick beside"] >= 60 and seen["K4 with parallel edges"] >= 3
+
+
+def test_c4_leaf_test_agrees_with_the_definition():
+    # Every C4 with side multiplicities in {1, 2, 3}, minus every nonempty
+    # set of its edges: matching covered exactly when each side keeps one.
+    for mult in itertools.product((1, 2, 3), repeat=4):
+        sides = [(1, 2), (2, 3), (3, 4), (4, 1)]
+        h = MultiGraph(4, [side for side, k in zip(sides, mult) for _ in range(k)])
+        removable = _leaf_removability(h, "brace")
+        for size in range(1, h.m + 1):
+            for r in itertools.combinations(h.edge_ids, size):
+                assert removable(frozenset(r)) == is_matching_covered(h.delete_edges(r)), (mult, r)
+
+
+def _analyze_large_graphs(seed: int) -> list[MultiGraph]:
+    # The seeded graphs of perfbench/workloads.py's analyze-large, drawn
+    # as its recipes draw them, in order, from the workload's seeded rng.
+    rng = random.Random(f"analyze-large/{seed}")
+    recipes = [lambda r: gen.bipartite_mc(r, 16, 4), lambda r: gen.nonbipartite_mc(r, 14, 4, ["K4"])]
+    for n in (20, 20, 22, 22, 24, 24):
+        recipes.append(lambda r, n=n: gen.bipartite_mc(r, n, n // 4))
+        recipes.append(lambda r, n=n: gen.nonbipartite_mc(r, n - 2, n // 4, ["K4"]))
+    recipes.append(lambda r: gen.bipartite_mc(r, 28, 56, min_degree=3))  # bip28-dense
+    recipes.append(lambda r: gen.nonbipartite_mc(r, 28, 56, ["W5"], min_degree=3))  # nb32-dense
+    return [gen_graph(gen.relabel(rng, make(rng))) for make in recipes]
+
+
+def test_removability_agrees_with_the_whole_graph_pass_past_brute_force():
+    # The (3,3) final, K_{k,k} with and without a doubled edge, and the
+    # analyze-large graphs at seed 7, several past EXHAUSTIVE_LIMIT: the
+    # same classes as one pass over g's own partition, with no refusal.
+    graphs = [build_high_kappa_epsilon(3, 3).final]
+    for k in range(2, 8):
+        g = named_graph(f"K{k},{k}")
+        graphs += [g, g.add_edge(*g.endpoints(1))[0]]
+    graphs += _analyze_large_graphs(7)
+    assert max(g.n for g in graphs) > matchcover.cuts.EXHAUSTIVE_LIMIT
+    for g in graphs:
+        classes = removable_classes(g)
+        assert classes == table_removable_classes(g)
+        assert removable_edges(g) == tuple(min(c) for c in classes if len(c) == 1)
+
+
+def test_removability_refuses_a_larger_class_on_a_big_brace(monkeypatch):
+    # Every class of a brace on six or more vertices is a single edge, so
+    # a larger one is an engine fault: refuse it.
+    g = named_graph("K3,3")
+    merged = EquivalencePartition((frozenset((1, 5)),) + tuple(
+        frozenset((e,)) for e in g.edge_ids if e not in (1, 5)
+    ))
+    monkeypatch.setattr(matchcover.cuts, "equivalence_partition", lambda h: merged)
+    with pytest.raises(VerificationError) as info:
+        removable_classes(g)
+    assert info.value.check == "removability"
 
 
 def test_removability_needs_a_matching_covered_graph():
@@ -458,15 +579,3 @@ def test_depends_is_one_matching_query(name):
             expected = [] if e == f else [(g, frozenset(g.endpoints(e)), (f,))]
             assert queries == expected, (e, f)
     assert stray == []
-
-
-def test_bipartite_removability_refuses_an_inadmissible_edge(monkeypatch):
-    # In a matching covered graph every edge lies in a perfect matching,
-    # so a failed completion through one is an engine fault: refuse it.
-    g = named_graph("C6")
-    index, match = g._adjacency()[0], _engine(g)
-    e = next(f for f, (u, v) in g.edge_items() if match[index[u]] == index[v])
-    monkeypatch.setattr(matchcover.dependence, "_pm_minus", lambda *args: None)
-    with pytest.raises(VerificationError) as info:
-        is_removable_edge(g, e)
-    assert info.value.check == "removability"

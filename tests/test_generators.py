@@ -5,7 +5,7 @@ import pytest
 
 import matchcover.cuts
 import matchcover.generators
-from matchcover.cuts import classify, is_separating_cut, is_tight_cut
+from matchcover.cuts import classify, is_separating_cut, is_tight_cut, removable_edges
 from matchcover.dependence import equivalence_partition, is_equivalence_class
 from matchcover.errors import DomainError, VerificationError
 from matchcover.generators import (
@@ -67,8 +67,6 @@ def test_marked_cuts_match_the_figures():
 
 
 def test_fig2b_is_a_brick_with_one_removable_edge():
-    from matchcover.dependence import removable_edges
-
     g = named_graph("fig2b")
     assert classify(g) == "brick"
     assert len(removable_edges(g)) == 1

@@ -13,15 +13,20 @@ import pytest
 
 import matchcover
 import matchcover.cuts
+import matchcover.dependence
 from matchcover.cli import build_analysis, main
 from matchcover.cuts import (
     _bipartite_tight_cut,
+    _removability,
     _brace_obstruction,
     _first_cut_decomposition,
     _two_separation_candidates,
     barrier_cuts,
     classify,
     find_nontrivial_tight_cut,
+    is_removable_edge,
+    removable_classes,
+    removable_edges,
     tight_cut_candidates,
     tight_cut_decomposition,
     verify_bounds,
@@ -31,10 +36,7 @@ from matchcover.dependence import (
     depends_on,
     epsilon,
     equivalence_partition,
-    is_removable_edge,
     mutually_dependent,
-    removable_classes,
-    removable_edges,
 )
 from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.generators import build_high_kappa_epsilon, named_graph
@@ -50,7 +52,7 @@ from matchcover.matching import (
 from matchcover.multigraph import MultiGraph, canonical_form
 from matchcover.structure import _even_2cuts, canonical_partition, even_2cuts
 
-from conftest import _CORPUS, gen, gen_graph, random_mc_graph
+from conftest import _CORPUS, big_brace_graph, gen, gen_graph, random_mc_graph, sparse_mc_graphs
 
 
 def test_equivalence_partition_is_shared():
@@ -216,9 +218,12 @@ def _fresh(g):
 
 
 def _removability_calls(fresh, run):
-    # The edge ids of every components pass during run(), each checked to
-    # be on fresh itself, and the calls into what removability must not
-    # reach: has_pm_containing, graph construction, a new engine.
+    # With fresh's tight cut decomposition built first: every components
+    # pass during run(), as (the index of the leaf it ran on, its edge
+    # ids), each checked to be on a leaf or on fresh itself (index -1),
+    # and the calls into what removability must not reach:
+    # has_pm_containing, graph construction, a new engine.
+    leaves = [h for h, _ in tight_cut_decomposition(fresh).leaves]
     watched = {
         has_pm_containing.__code__,
         MultiGraph._init_parts.__code__,
@@ -240,8 +245,22 @@ def _removability_calls(fresh, run):
         run()
     finally:
         sys.setprofile(None)
-    assert all(h is fresh for h in graphs)
-    return passes, calls
+    where = [next((i for i, leaf in enumerate(leaves) if h is leaf), -1) for h in graphs]
+    assert all(i != -1 or h is fresh for i, h in zip(where, graphs))
+    return list(zip(where, passes)), calls
+
+
+def _larger_leaf_classes(fresh):
+    # (leaf index, R & E(L)) for every class R of fresh that meets a
+    # brick leaf L in two or more edges.
+    classes = equivalence_partition(fresh).classes
+    return [
+        (i, c & frozenset(h.edge_ids))
+        for i, (h, tag) in enumerate(tight_cut_decomposition(fresh).leaves)
+        if tag == "brick"
+        for c in classes
+        if len(c & frozenset(h.edge_ids)) > 1
+    ]
 
 
 @pytest.mark.parametrize(
@@ -250,13 +269,13 @@ def _removability_calls(fresh, run):
      "C6bar", "fig2b", "C6bar+parallel", "prism5", "petersen"],
 )
 def test_removability_builds_no_graph_and_asks_no_query(name):
-    # Every removability question is asked of g's own engine, as a
-    # perfect matching of g minus vertices and the edges of R: no graph
-    # g - R and no second engine.  The only connectivity pass is a
-    # components pass on g minus a class of two or more edges.  On a
-    # bipartite g the matching digraph of g - R decides each class.
+    # Every removability question is asked of a decomposition leaf's own
+    # engine, as a perfect matching of the leaf minus vertices and the
+    # edges of R: no graph L - R and no second engine.  The only
+    # connectivity pass is a components pass on a brick leaf minus a
+    # class of two or more edges.
     fresh = _fresh(dict(_CORPUS)[name])
-    larger = {c for c in equivalence_partition(fresh).classes if len(c) > 1}
+    larger = set(_larger_leaf_classes(fresh))
 
     def run():
         removable_edges(fresh)
@@ -271,14 +290,44 @@ def test_removability_builds_no_graph_and_asks_no_query(name):
 
 @pytest.mark.parametrize("name", ["C6bar", "fig2b", "C6bar+parallel", "prism5", "petersen"])
 def test_nonbipartite_removability_checks_each_larger_class_once(name):
-    # A matching covered graph of order >= 4 is 2-connected, so g - e is
-    # connected: only a class of two or more edges gets a connectivity
-    # check, exactly one components pass on g's adjacency minus the class.
+    # A matching covered graph of order >= 4 is 2-connected, so L - e is
+    # connected: only a class of two or more edges of a brick leaf L gets
+    # a connectivity check, exactly one components pass on L's adjacency
+    # minus the class.
     fresh = _fresh(dict(_CORPUS)[name])
-    classes = equivalence_partition(fresh).classes
     passes, calls = _removability_calls(fresh, lambda: removable_edges(fresh))
-    assert Counter(passes) == Counter(c for c in classes if len(c) > 1)
+    assert Counter(passes) == Counter(_larger_leaf_classes(fresh))
     assert calls == []
+
+
+@pytest.mark.parametrize("make", [lambda: named_graph("K4,4"), big_brace_graph], ids=["K4,4", "big_brace"])
+def test_brace_removability_asks_no_query(make):
+    # A brace leaf of order >= 6 needs no test and a C4 leaf is read off
+    # its four sides, so a bipartite graph, once its partition and
+    # decomposition are built, asks no matching query for removability.
+    g = make()
+    equivalence_partition(g)
+    tight_cut_decomposition(g)
+    assert _calls(_pm_minus.__code__, removable_classes, g) == []
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_removability_tests_only_brick_leaves(index):
+    # Brick spliced into a bipartite graph: the table test runs on each
+    # brick leaf, and never on g or on a brace leaf.
+    g = sparse_mc_graphs(18)[3 + index]
+    leaves = tight_cut_decomposition(g).leaves
+    assert len(leaves) > 1
+    tested = [call["g"] for call in _calls(_removability.__code__, removable_classes, g)]
+    bricks = [h for h, tag in leaves if tag == "brick"]
+    assert len(tested) == len(bricks) and all(any(h is b for b in bricks) for h in tested)
+
+
+def test_removability_names_stay_in_the_dependence_layer():
+    # The benchmark's tracer reads removability under ``dependence``;
+    # the names there are the functions themselves, so every call counts.
+    for name in ("is_removable_edge", "removable_classes", "removable_edges"):
+        assert getattr(matchcover.dependence, name) is getattr(matchcover.cuts, name)
 
 
 @pytest.mark.parametrize(
