@@ -17,9 +17,9 @@ import matchcover.dependence
 from matchcover.cli import build_analysis, main
 from matchcover.cuts import (
     _bipartite_tight_cut,
-    _removability,
     _brace_obstruction,
     _first_cut_decomposition,
+    _removability,
     _two_separation_candidates,
     barrier_cuts,
     classify,
