@@ -27,7 +27,9 @@ never falls back to it.  The first tight cut (read lazily), the whole
 candidate list, each decomposition leaf's canonical form and the default
 decomposition are memoized per graph, and a cut's contractions and
 tightness per ``Cut``, so cut-choice strategies that pick the same
-candidate share the whole subtree below it.
+candidate share the whole subtree below it.  A leaf's form is that of
+its underlying simple graph, so a C4 leaf (up to multiplicity) runs no
+search: it gets the form of C4, taken once at import.
 
 Removability is read off the memoized decomposition.  A class R of g
 meets each leaf L in nothing or in a class of L, and g - R is matching
@@ -446,13 +448,19 @@ class DecompositionResult:
 @_memoized
 def _leaf_form(h: MultiGraph) -> CanonicalForm:
     # Uniqueness of the decomposition holds mod parallel edges, so a
-    # leaf's form is taken of its underlying simple graph.
+    # leaf's form is taken of its underlying simple graph.  That graph
+    # of a C4 leaf is C4, whose form is taken once, at import.
+    if _is_c4_up_to_multiplicity(h):
+        return _C4_FORM
     return canonical_form(h.underlying_simple())
 
 
 def _is_c4_up_to_multiplicity(g: MultiGraph) -> bool:
     # Up to multiplicity: the adjacency rows count distinct neighbours.
     return g.n == 4 and all(len(row) == 2 for row in g._adjacency()[1]) and g.is_connected
+
+
+_C4_FORM = canonical_form(MultiGraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))
 
 
 def _decompose(

@@ -89,18 +89,23 @@ def equivalence_partition(g: MultiGraph) -> EquivalencePartition:
     """The partition of E(g) into mutual-dependence classes, computed
     once per graph.
 
-    The least edge e not yet placed opens a class, which takes every
-    unplaced edge that shares e's witness signature and is mutually
-    dependent with e.
+    A class lies inside one group of edges with equal witness
+    signatures.  In each group, the least edge e not yet placed opens a
+    class, which takes every unplaced edge of the group mutually
+    dependent with e; the classes are then sorted by least edge.
     """
     _require_mc(g, "equivalence partition")
+    sig = _signatures(g)
+    groups: dict[int, list[int]] = {}
+    for e in g.edge_ids:
+        groups.setdefault(sig[e], []).append(e)
     classes = []
-    left = list(g.edge_ids)
-    while left:
-        cls = _class_among(g, left[0], left)
-        classes.append(cls)
-        left = [f for f in left if f not in cls]
-    return EquivalencePartition(tuple(classes))
+    for left in groups.values():
+        while left:
+            cls = _class_among(g, left[0], left)
+            classes.append(cls)
+            left = [f for f in left if f not in cls]
+    return EquivalencePartition(tuple(sorted(classes, key=min)))
 
 
 def class_of(g: MultiGraph, e: int) -> frozenset[int]:

@@ -63,7 +63,12 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence, TypeVar
 
 from matchcover.cuts import _as_cut, _removability, _tight_cuts, contractions, is_tight_cut
-from matchcover.dependence import EquivalencePartition, _check_ids, equivalence_partition
+from matchcover.dependence import (
+    EquivalencePartition,
+    _check_ids,
+    _class_among,
+    equivalence_partition,
+)
 from matchcover.errors import CapabilityError, DomainError, VerificationError
 from matchcover.matching import (
     _augment,
@@ -219,6 +224,20 @@ def pairwise_equivalence_partition(g: MultiGraph) -> EquivalencePartition:
     pairwise tests joined by union-find."""
     _require_mc(g, "equivalence partition")
     return EquivalencePartition(_partition(g.edge_ids, lambda e, f: _mutual(g, e, f)))
+
+
+def scan_equivalence_partition(g: MultiGraph) -> EquivalencePartition:
+    """The partition built over the whole edge list: the least unplaced
+    edge opens a class among all unplaced edges, so every class rescans
+    what is left (the library groups by witness signature first)."""
+    _require_mc(g, "equivalence partition")
+    classes = []
+    left = list(g.edge_ids)
+    while left:
+        cls = _class_among(g, left[0], left)
+        classes.append(cls)
+        left = [f for f in left if f not in cls]
+    return EquivalencePartition(tuple(classes))
 
 
 def pairwise_class_of(g: MultiGraph, e: int) -> frozenset[int]:

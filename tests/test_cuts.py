@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import chain
 
 import pytest
@@ -257,6 +258,26 @@ def test_decomposition_strategy_invariance(g):
         for s in strategies
     ]
     assert all(f == forms[0] for f in forms)
+
+
+def test_leaf_form_is_the_form_of_the_underlying_simple_graph():
+    # A C4 leaf returns the form taken at import; every leaf must still
+    # get the form its underlying simple graph has.  The inputs are the
+    # corpus and seeded bipartite graphs with some edges doubled, whose
+    # contractions give C4 leaves with parallel sides.
+    rng = random.Random(2728)
+    graphs = [p.values[0] for p in corpus_params()]
+    for _ in range(100):
+        g = random_mc_graph(rng, rng.choice((6, 8, 10, 12)), rng.randrange(2, 10))
+        ends = [g.endpoints(e) for e in g.edge_ids]
+        graphs.append(MultiGraph(g.n, ends + rng.sample(ends, rng.randrange(3))))
+    kinds = Counter()
+    for g in graphs:
+        for leaf, _ in tight_cut_decomposition(g).leaves:
+            c4 = matchcover.cuts._is_c4_up_to_multiplicity(leaf)
+            kinds[c4, c4 and leaf.m > 4] += 1
+            assert matchcover.cuts._leaf_form(leaf) == canonical_form(leaf.underlying_simple())
+    assert kinds[True, True] >= 50 and kinds[True, False] and kinds[False, False], kinds
 
 
 def _suite_strategies(g: MultiGraph, seed: int, monkeypatch) -> list[str]:

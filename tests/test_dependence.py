@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matchcover.cuts
+import matchcover.dependence
 from matchcover.cuts import (
     _leaf_removability,
     _removability,
@@ -41,6 +42,7 @@ from _oracles import (
     pairwise_equivalence_partition,
     pm_removable,
     pool_removable,
+    scan_equivalence_partition,
     search_depends,
     sweep_removable,
     table_removable_classes,
@@ -550,6 +552,33 @@ def test_depends_on_agrees_with_the_definition_on_every_ordered_pair():
                 kinds["not mc"] += not mc
     assert all(kinds.values()), kinds
 
+
+def test_grouped_partition_asks_what_the_whole_list_scan_asks(monkeypatch):
+    # Grouping the edges by witness signature first gives the same
+    # classes, in the same order, from the same _depends questions.
+    rng = random.Random(2729)
+    graphs = [g for _, g in _CORPUS] + sparse_mc_graphs(18) + [
+        random_nonbipartite_mc_graph(rng, rng.choice((8, 10, 12)), rng.randrange(4, 14))
+        for _ in range(20)
+    ]
+    depends = matchcover.dependence._depends
+    calls: list = []
+
+    def spy(g, e, f):
+        calls.append((e, f))
+        return depends(g, e, f)
+
+    monkeypatch.setattr(matchcover.dependence, "_depends", spy)
+    joined = 0
+    for g in graphs:
+        calls.clear()
+        grouped = equivalence_partition.__wrapped__(g)
+        asked = collections.Counter(calls)
+        calls.clear()
+        assert grouped.classes == scan_equivalence_partition(g).classes
+        assert asked == collections.Counter(calls)
+        joined += any(len(c) > 1 for c in grouped)
+    assert joined >= 10
 
 @pytest.mark.parametrize("name", ["C6", "C6bar", "K4+parallel", "prism3"])
 def test_depends_is_one_matching_query(name):

@@ -1,7 +1,7 @@
 import hashlib
 import inspect
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from matchcover.multigraph import (
     MultiGraph,
     _find,
     _fold_fixing,
+    _twins,
     canonical_form,
     format_graph,
     parse_graph,
@@ -346,9 +347,26 @@ def test_canonical_form_invariant_under_relabeling(seed, n, extra):
     assert canonical_form(g) == canonical_form(_relabeled(rng, g))
 
 
+def _mult(g: MultiGraph) -> list[list[int]]:
+    # The multiplicity matrix over vertex positions, as canonical_form reads it.
+    index = {v: i for i, v in enumerate(g.vertices)}
+    mult = [[0] * g.n for _ in range(g.n)]
+    for _, (u, v) in g.edge_items():
+        mult[index[u]][index[v]] += 1
+        mult[index[v]][index[u]] += 1
+    return mult
+
+
+def _crown(k: int) -> MultiGraph:
+    # K_{k,k} minus a perfect matching: vertex-transitive, and for k >= 3
+    # no two vertices are twins.
+    return MultiGraph(2 * k, [(i, k + j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j])
+
+
 def test_canonical_form_work_budget_is_inclusive(monkeypatch):
-    # K12,12 has 2 * 12!^2 leaves, so its search fits a budget this small
-    # only because automorphisms prune it.  Its work is 24^2 per
+    # The crown graph K12,12 minus a perfect matching has 2 * 12 * 11!
+    # automorphisms and no twins, so its search fits a budget this small
+    # only because stored automorphisms prune it.  Its work is 24^2 per
     # refinement round plus 24 per stored automorphism folded; it gets a
     # form under exactly that budget and is refused one unit below.
     refine, fold = matchcover.multigraph._refine, matchcover.multigraph._fold_fixing
@@ -365,12 +383,13 @@ def test_canonical_form_work_budget_is_inclusive(monkeypatch):
         units.append(len(orbit) * len(autos))
         fold(orbit, autos, prefix)
 
-    k = MultiGraph(24, [(i, j) for i in range(1, 13) for j in range(13, 25)])
+    k = _crown(12)
+    assert _twins(_mult(k)) == list(range(24))
     monkeypatch.setattr(matchcover.multigraph, "_refine", refine_spy)
     monkeypatch.setattr(matchcover.multigraph, "_fold_fixing", fold_spy)
     form = canonical_form(k)
     work = sum(units)
-    assert work == 3_381_240
+    assert work == 592_872
     monkeypatch.setattr(matchcover.multigraph, "_CANON_WORK_BUDGET", work)
     assert canonical_form(k) == form
     monkeypatch.setattr(matchcover.multigraph, "_CANON_WORK_BUDGET", work - 1)
@@ -412,11 +431,13 @@ def test_canonical_form_folds_automorphisms_through_the_prefix_filter(monkeypatc
 
 
 def test_canonical_form_budget_refusal_names_phase_limit_and_setting(monkeypatch):
-    # K5,5 spends 20,820 units: 100 refinement rounds of 10^2, and 1,082
-    # folds of a stored automorphism at 10 each
+    # The Petersen graph has no twins and spends 5,450 units: 10^2 per
+    # refinement round and 10 per stored automorphism folded
+    monkeypatch.setattr(matchcover.multigraph, "_CANON_WORK_BUDGET", 5_450)
+    canonical_form(named_graph("petersen"))
     monkeypatch.setattr(matchcover.multigraph, "_CANON_WORK_BUDGET", 5_000)
     with pytest.raises(CapabilityError) as info:
-        canonical_form(named_graph("K5,5"))
+        canonical_form(named_graph("petersen"))
     message = str(info.value)
     assert message.startswith("canonical form:")
     assert "5,000-unit work limit" in message
@@ -485,6 +506,94 @@ def test_canonical_form_matches_unpruned_search_on_random_multigraphs():
         parallel += g.underlying_simple().m < g.m
         assert canonical_form(g) == brute_canonical_form(g), format_graph(g)
     assert parallel >= 40
+
+
+def _complete_multipartite(*parts: int) -> MultiGraph:
+    ends = [i for i, size in enumerate(parts) for _ in range(size)]
+    return MultiGraph(len(ends), [
+        (u + 1, v + 1) for u, v in combinations(range(len(ends)), 2) if ends[u] != ends[v]
+    ])
+
+
+def _with_clones(rng: random.Random, g: MultiGraph, clones: int) -> MultiGraph:
+    # g plus `clones` new vertices, each a copy of a random vertex x
+    # (its edges with their multiplicities): a false twin of x, or, half
+    # the time, a true twin joined to x by one or two edges.
+    n, edges = g.n, [g.endpoints(e) for e in g.edge_ids]
+    for _ in range(clones):
+        x = rng.choice(range(1, n + 1))
+        n += 1
+        edges += [(n, b if a == x else a) for a, b in edges if x in (a, b)]
+        edges += [(x, n)] * rng.choice((0, 0, 1, 2))
+    return MultiGraph(n, edges)
+
+
+def _twin_heavy_graphs() -> list[MultiGraph]:
+    rng = random.Random(2727)
+    # K_{a,b} and stars up to K1,7 (K5,5 is in the corpus), and K_n: the
+    # unpruned search visits every one of the up to 7! * e nodes.
+    graphs = [_complete_multipartite(a, b) for a in range(1, 5) for b in range(a, 9 - a)]
+    graphs += [_complete_multipartite(*([1] * n)) for n in range(2, 8)]
+    graphs += [_complete_multipartite(*parts) for parts in ((1, 2, 3), (2, 2, 2), (2, 2, 3), (1, 1, 3, 3), (2, 2, 2, 2), (3, 3, 3))]
+    for i in range(40):
+        g = random_graph(rng, rng.randrange(2, 7), rng.randrange(4))
+        g = _with_clones(rng, g, rng.randrange(1, 11 - g.n))
+        graphs.append(g)
+    # Near-twin chains: 1..k all see the hubs k+1, k+2, and consecutive
+    # ones are joined (no two are twins), or one rung doubles.
+    for k, doubled in ((4, None), (5, None), (5, 2), (6, 3)):
+        edges = [(i, k + h) for i in range(1, k + 1) for h in (1, 2)]
+        edges += [(i, i + 1) for i in range(1, k)] + ([(doubled, doubled + 1)] if doubled else [])
+        graphs.append(MultiGraph(k + 2, edges))
+    # Doubled edges on the twin-heavy graphs above.
+    for g in rng.sample(graphs, 20):
+        ends = [g.endpoints(e) for e in g.edge_ids]
+        graphs.append(MultiGraph(g.n, ends + rng.sample(ends, rng.randrange(1, len(ends) + 1))))
+    # C4 with every mix of side multiplicities in {1, 2, 3}.
+    sides = ((1, 2), (2, 3), (3, 4), (4, 1))
+    for mix in product((1, 2, 3), repeat=4):
+        graphs.append(MultiGraph(4, [side for side, k in zip(sides, mix) for _ in range(k)]))
+    return graphs
+
+
+def test_twins_are_vertices_with_equal_rows_off_the_pair():
+    # Every multigraph on up to 4 vertices with multiplicities up to 2,
+    # and the twin-heavy inputs: twins[u] == twins[v] exactly when
+    # mult[u][w] == mult[v][w] for every w outside {u, v}.  The relation
+    # is transitive, so twins[v] names a class.
+    graphs = []
+    for n in range(5):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for mix in product((0, 1, 2), repeat=len(pairs)):
+            graphs.append(MultiGraph(n, [p for p, k in zip(pairs, mix) for _ in range(k)]))
+    graphs += _twin_heavy_graphs()
+    classes = 0
+    for g in graphs:
+        mult = _mult(g)
+        twins = _twins(mult)
+        for u, v in combinations(range(g.n), 2):
+            alike = all(mult[u][w] == mult[v][w] for w in range(g.n) if w not in (u, v))
+            assert (twins[u] == twins[v]) == alike, format_graph(g)
+        assert all(twins[twins[v]] == twins[v] <= v for v in range(g.n))
+        classes += any(twins[v] != v for v in range(g.n))
+    assert classes > len(graphs) // 2
+
+
+def test_canonical_form_matches_unpruned_search_on_twin_heavy_graphs():
+    graphs = _twin_heavy_graphs()
+    assert len(graphs) > 150 and max(g.n for g in graphs) == 10
+    for g in graphs:
+        assert canonical_form(g) == brute_canonical_form(g), format_graph(g)
+
+
+@pytest.mark.parametrize("a, b", [(16, 16), (1, 40)])
+def test_canonical_form_of_twin_heavy_graphs_fits_a_small_budget(monkeypatch, a, b):
+    # Twin transpositions prune K16,16 and the star K1,40 to one path
+    # below each root child.  Pruned by stored automorphisms alone,
+    # K12,12 spent 3,381,240 units and K1,40 was refused after minutes.
+    g = _complete_multipartite(a, b)
+    monkeypatch.setattr(matchcover.multigraph, "_CANON_WORK_BUDGET", 100_000)
+    assert canonical_form(g) == canonical_form(_relabeled(random.Random(a + b), g))
 
 
 def test_canonical_form_invariant_under_relabeling_of_regular_graphs():
