@@ -360,7 +360,8 @@ def _mult(g: MultiGraph) -> list[list[int]]:
 def _crown(k: int) -> MultiGraph:
     # K_{k,k} minus a perfect matching: vertex-transitive, and for k >= 3
     # no two vertices are twins.
-    return MultiGraph(2 * k, [(i, k + j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j])
+    ends = [(i, k + j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+    return MultiGraph(2 * k, ends)
 
 
 def test_canonical_form_work_budget_is_inclusive(monkeypatch):
@@ -534,13 +535,15 @@ def _twin_heavy_graphs() -> list[MultiGraph]:
     # unpruned search visits every one of the up to 7! * e nodes.
     graphs = [_complete_multipartite(a, b) for a in range(1, 5) for b in range(a, 9 - a)]
     graphs += [_complete_multipartite(*([1] * n)) for n in range(2, 8)]
-    graphs += [_complete_multipartite(*parts) for parts in ((1, 2, 3), (2, 2, 2), (2, 2, 3), (1, 1, 3, 3), (2, 2, 2, 2), (3, 3, 3))]
-    for i in range(40):
+    for parts in ((1, 2, 3), (2, 2, 2), (2, 2, 3), (1, 1, 3, 3), (2, 2, 2, 2), (3, 3, 3)):
+        graphs.append(_complete_multipartite(*parts))
+    for _ in range(40):
         g = random_graph(rng, rng.randrange(2, 7), rng.randrange(4))
         g = _with_clones(rng, g, rng.randrange(1, 11 - g.n))
         graphs.append(g)
-    # Near-twin chains: 1..k all see the hubs k+1, k+2, and consecutive
-    # ones are joined (no two are twins), or one rung doubles.
+    # Near-twin chains: 1..k all see the hubs k+1 and k+2 (which are
+    # twins), and consecutive ones are joined, once or, on one rung,
+    # twice, so no two of 1..k are twins.
     for k, doubled in ((4, None), (5, None), (5, 2), (6, 3)):
         edges = [(i, k + h) for i in range(1, k + 1) for h in (1, 2)]
         edges += [(i, i + 1) for i in range(1, k)] + ([(doubled, doubled + 1)] if doubled else [])
