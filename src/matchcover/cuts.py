@@ -23,7 +23,9 @@ Nonbipartite graphs are certified by the brick test: 3-connected and
 bicritical, where bicriticality is read off the memoized canonical
 partition (all parts singletons).  A raw exhaustive odd-shore scan
 stays available as the cross-check authority; the certified search
-never falls back to it.  The first tight cut (read lazily), the whole
+never falls back to it.  Tightness is refuted first by the perfect
+matchings already in hand, a memoized list per graph that every query
+which finds a matching extends, so most shores of the scan ask no query.  The first tight cut (read lazily), the whole
 candidate list, each decomposition leaf's canonical form and the default
 decomposition are memoized per graph, and a cut's contractions and
 tightness per ``Cut``, so cut-choice strategies that pick the same
@@ -59,7 +61,6 @@ from .matching import (
     _require_mc,
     _signatures,
     _strongly_connected,
-    has_pm_containing,
     is_matching_covered,
 )
 from .multigraph import CanonicalForm, Cut, MultiGraph, _memoized, canonical_form
@@ -91,9 +92,22 @@ def is_tight_cut(g: MultiGraph, c: Cut | frozenset[int]) -> bool:
 
     Only odd cuts can be tight.  A perfect matching meets an odd cut
     oddly, so one holding two cut edges holds three, two of them below
-    the largest: pairs of the others decide it, O(|C|^2) queries once per ``Cut``.
+    the largest: pairs of the others decide it, O(|C|^2) queries once per
+    ``Cut``.  Each graph keeps a list of the perfect matchings found so
+    far (``_known_pms``), and any one with two pairs across the shore
+    refutes the cut with no query; a query that finds a matching adds it.
     """
     return _is_tight(_as_cut(g, c))
+
+
+@_memoized
+def _known_pms(g: MultiGraph) -> list[list[int]]:
+    # Perfect matchings of g as mate lists over the engine's indices,
+    # starting with the engine's own when it is perfect.  Tightness
+    # queries append to it; it only ever holds perfect matchings of g,
+    # so no verdict depends on the order of the queries.
+    cached = _engine(g)
+    return [] if -1 in cached else [list(cached)]
 
 
 @_memoized
@@ -101,12 +115,27 @@ def _is_tight(cut: Cut) -> bool:
     if not cut.is_odd:
         return False
     g = cut.graph
+    index = g._adjacency()[0]
+    inside = [False] * g.n
+    for v in cut.shore:
+        inside[index[v]] = True
+    shore = [index[v] for v in cut.shore]
+    known = _known_pms(g)
+    for match in known:
+        if sum(not inside[match[i]] for i in shore) >= 2:
+            return False
     edges = sorted(cut.edges)
     ends = {e: g.endpoints(e) for e in edges}
     for e1, e2 in combinations(edges[:-1], 2):
-        if len({*ends[e1], *ends[e2]}) < 4:
+        gone = frozenset((*ends[e1], *ends[e2]))
+        if len(gone) < 4:
             continue
-        if has_pm_containing(g, (e1, e2)):
+        match = _pm_minus(g, gone)
+        if match is not None:
+            for u, w in (ends[e1], ends[e2]):
+                i, j = index[u], index[w]
+                match[i], match[j] = j, i
+            known.append(match)
             return False
     return True
 

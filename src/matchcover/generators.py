@@ -229,8 +229,12 @@ def build_high_kappa_epsilon(
 
     base defaults to K_{p+1,p+1} and anchor to the base's least vertex;
     an anchor that is not a vertex of the base raises ``DomainError``.
-    All vertex choices are lowest-id, so traces are reproducible.
+    All vertex choices are lowest-id, so traces are reproducible.  A p
+    or q that is not an integer (a bool included) raises ``DomainError``.
     """
+    for name, value in (("p", p), ("q", q)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"construction parameter {name} must be an integer, got {value!r}")
     if p < 2 or q < 2:
         raise DomainError("construction needs p >= 2 and q >= 2")
     h = _complete_bipartite(p + 1, p + 1) if base is None else base

@@ -7,11 +7,14 @@ engine's cached perfect matching; the even 2-cuts are read off the
 equivalence classes,
 one ``components`` pass over g's adjacency minus each candidate pair (no
 graph is built), so both need a matching covered graph.  Connectivity
-follows Esfahanian and Hakimi: unit-capacity flows on one vertex-split
-array network from one vertex v of least degree delta to each vertex not
-adjacent to it, and between each nonadjacent pair of its neighbours, at
-most (n - delta - 1) + delta*(delta - 1)/2 flows, each capped at the
-least value found so far."""
+follows Esfahanian and Hakimi, with unit-capacity flows on one
+vertex-split array network.  Take v of least degree delta.  Each vertex
+j not adjacent to v, taken breadth first from v, gets one flow into a
+sink joined to every vertex already settled (N(v) and the earlier j),
+or none when j has enough settled neighbours; then each nonadjacent
+pair of v's neighbours gets one.  That is at most
+(n - delta - 1) + delta*(delta - 1)/2 flows, each capped at the least
+value found so far."""
 
 from __future__ import annotations
 
@@ -130,14 +133,18 @@ def _split_network(
 
     Vertex i becomes v_in (node 2i) -> v_out (node 2i+1) with capacity 1;
     each adjacent pair {u, v} becomes u_out -> v_in and v_out -> u_in
-    with capacity n, so minimum cuts use vertex arcs only.  Arc k runs to
-    ``head[k]`` with capacity ``cap[k]``; its residual partner is arc
-    ``k ^ 1``; ``arcs[x]`` lists the arcs leaving node x.
+    with capacity n, so minimum cuts use vertex arcs only.  One more
+    node, the sink T = 2n, gets an arc i_out -> T of capacity 0 from
+    each vertex i, arc 2n + 2i; a flow into T opens the arcs of the
+    vertices it may end at, and a flow that opens none sees the plain
+    split network.  Arc k
+    runs to ``head[k]`` with capacity ``cap[k]``; its residual partner
+    is arc ``k ^ 1``; ``arcs[x]`` lists the arcs leaving node x.
     """
     n = len(nbrs)
     head: list[int] = []
     cap: list[int] = []
-    arcs: list[list[int]] = [[] for _ in range(2 * n)]
+    arcs: list[list[int]] = [[] for _ in range(2 * n + 1)]
 
     def arc(a: int, b: int, c: int) -> None:
         arcs[a].append(len(head))
@@ -149,6 +156,8 @@ def _split_network(
 
     for i in range(n):
         arc(2 * i, 2 * i + 1, 1)
+    for i in range(n):
+        arc(2 * i + 1, 2 * n, 0)
     for i, row in enumerate(nbrs):
         for j in row:
             arc(2 * i + 1, 2 * j, n)
@@ -197,15 +206,39 @@ def vertex_connectivity(g: MultiGraph) -> int:
 
     Esfahanian and Hakimi's scheme: take a vertex v of least degree
     delta, start from ``best = delta`` (N(v) separates v from any vertex
-    not adjacent to it), and run one flow from v to each vertex not
-    adjacent to v, then one between each nonadjacent pair of v's
-    neighbours; each flow stops at ``best`` augmenting paths, as a larger
-    one cannot lower the minimum.  Let S be a minimum separator.  If v
-    lies outside some such S, a vertex beyond S is not adjacent to v,
-    and that pair's flow is kappa.  If v lies in every one, S - v
+    not adjacent to it), and find min(best, kappa(v, j)) for each vertex
+    j not adjacent to v, then run one flow between each nonadjacent pair
+    of v's neighbours; each flow stops at ``best`` augmenting paths, as a
+    larger one cannot lower the minimum.  Let S be a minimum separator.
+    If v lies outside some such S, a vertex beyond S is not adjacent to
+    v, and that pair's value is kappa.  If v lies in every one, S - v
     separates nothing, so v has neighbours in two components of g - S;
-    they are not adjacent, and their flow is kappa.  So at most
-    (n - delta - 1) + delta*(delta - 1)/2 flows are needed.
+    they are not adjacent, and their flow is kappa.
+
+    The first phase runs its flows into the settled vertices, not into v
+    (the sink contraction of Hao and Orlin, as carried over to vertex
+    connectivity by Henzinger, Rao and Gabow).  The non-neighbours j are
+    visited breadth first from v; the settled set W holds N(v) and every
+    j visited so far, and every w in W has kappa(v, w) >= best (w is
+    adjacent to v, or its value was at least the best of its time).  The
+    flow from j_out to the sink T, through the T-arcs of W, is a fan of
+    paths from j to W, disjoint but at j, capped at best; each search
+    stops at the nearest settled vertex.  It equals min(best, kappa(v, j)):
+
+    - If a v-j separator X had |X| < min(best, fan), some path of the fan
+      would miss X and end at w in W outside X.  X holds fewer than
+      kappa(v, w) vertices, so a v-w path misses X too, and joining the
+      two gives a v-j walk that misses X.  So kappa(v, j) >= min(best, fan).
+    - If the fan f is below best, a minimum cut of it is a vertex set X of
+      size f that meets every j-W path.  X never needs v: a j-W path
+      through v reaches a neighbour of v, which is in W, before it.  Every
+      v-j path leaves v into N(v), within W, so X separates v from j, and
+      kappa(v, j) <= f.
+
+    A j with at least ``best`` settled neighbours has a fan of ``best``
+    one-edge paths, so it is settled with no flow.  On the (4,4)
+    construction final that leaves 47 flows, in place of the bound
+    (n - delta - 1) + delta*(delta - 1)/2 = 68 of one flow per pair.
     """
     n = g.n
     if n <= 1 or not g.is_connected:
@@ -214,10 +247,23 @@ def vertex_connectivity(g: MultiGraph) -> int:
     v = min(range(n), key=lambda i: len(nbrs[i]))
     best = len(nbrs[v])
     head, cap, arcs = _split_network(nbrs)
+    order = [v]
+    seen = [False] * n
+    seen[v] = True
+    for x in order:  # breadth first: the loop reaches what is appended
+        for j in nbrs[x]:
+            if not seen[j]:
+                seen[j] = True
+                order.append(j)
+    # order[1:] starts with N(v), which is settled before any flow runs.
     adjacent = set(nbrs[v])
-    for j in range(n):
-        if j != v and j not in adjacent:
-            best = min(best, _capped_flow(head, cap, arcs, 2 * v + 1, 2 * j, best))
+    settled = [False] * n
+    fan = cap[:]
+    for j in order[1:]:
+        if j not in adjacent and sum(settled[w] for w in nbrs[j]) < best:
+            best = min(best, _capped_flow(head, fan, arcs, 2 * j + 1, 2 * n, best))
+        settled[j] = True
+        fan[2 * n + 2 * j] = 1
     for a, b in combinations(nbrs[v], 2):
         if b not in nbrs[a]:
             best = min(best, _capped_flow(head, cap, arcs, 2 * a + 1, 2 * b, best))

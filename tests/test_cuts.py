@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -583,3 +583,43 @@ def test_a_barrier_cut_that_is_not_tight_raises(monkeypatch):
     with pytest.raises(VerificationError) as err:
         find_nontrivial_tight_cut(g)
     assert err.value.check == "barrier-cuts"
+
+
+def _odd_shore_graphs() -> list[MultiGraph]:
+    # Seeded bipartite and nonbipartite matching covered graphs, n <= 10.
+    rng = random.Random(20261021)
+    graphs = [named_graph(name) for name in ("K4", "C6bar", "fig2b", "fig2c", "petersen")]
+    for n in (6, 8, 10):
+        graphs += [random_mc_graph(rng, n, rng.randrange(2, 9)) for _ in range(3)]
+        graphs += [random_nonbipartite_mc_graph(rng, n, rng.randrange(2, 9)) for _ in range(3)]
+    return graphs
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_tight_cut_verdicts_do_not_depend_on_the_order_of_the_questions(order):
+    # Tightness queries share one list of perfect matchings per graph,
+    # so each order is asked of a fresh copy, on every odd shore that
+    # holds the least vertex: the verdicts must match full enumeration
+    # and, up to order 8, the triple oracle.
+    rng = random.Random(order)
+    graphs = _odd_shore_graphs()
+    assert sum(g.is_bipartite for g in graphs) >= 9 and sum(not g.is_bipartite for g in graphs) >= 9
+    tight = 0
+    for g in graphs:
+        pms = all_pms(g)
+        least, rest = g.vertices[0], g.vertices[1:]
+        shores = [frozenset((least, *more)) for size in range(0, g.n - 1, 2)
+                  for more in combinations(rest, size)]
+        if order == "descending":
+            shores.reverse()
+        elif order == "shuffled":
+            rng.shuffle(shores)
+        fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
+        for shore in shores:
+            cut = fresh.cut(shore)
+            verdict = is_tight_cut(fresh, cut)
+            assert verdict == all(len(pm & cut.edges) == 1 for pm in pms), sorted(shore)
+            if g.n <= 8:
+                assert verdict == triple_is_tight(g, g.cut(shore)), sorted(shore)
+            tight += verdict and not cut.is_trivial
+    assert tight >= 40

@@ -78,6 +78,15 @@ def test_construction_rejects_small_parameters():
             build_high_kappa_epsilon(p, q)
 
 
+@pytest.mark.parametrize(
+    "p, q, name", [(2.5, 2, "p"), (2.0, 3, "p"), (True, 2, "p"), (2, 1.5, "q"), (3, False, "q"),
+                   ("3", 2, "p")]
+)
+def test_construction_rejects_parameters_that_are_not_integers(p, q, name):
+    with pytest.raises(DomainError, match=f"construction parameter {name} must be an integer"):
+        build_high_kappa_epsilon(p, q)
+
+
 def test_construction_rejects_unfit_base():
     # base must be a brace with enough connectivity for the target p
     with pytest.raises(DomainError):

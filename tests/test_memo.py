@@ -14,6 +14,7 @@ import pytest
 import matchcover
 import matchcover.cuts
 import matchcover.dependence
+import matchcover.structure
 from matchcover.cli import build_analysis, main
 from matchcover.cuts import (
     _bipartite_tight_cut,
@@ -24,6 +25,7 @@ from matchcover.cuts import (
     _two_separation_candidates,
     barrier_cuts,
     classify,
+    exhaustive_nontrivial_tight_cut,
     find_nontrivial_tight_cut,
     is_removable_edge,
     removable_classes,
@@ -743,6 +745,43 @@ def test_uniqueness_suite_shares_the_first_cut_with_the_full_list(monkeypatch):
     assert code == 0
     assert 0 < calls["contract"] <= 128
     assert 0 < calls["canonical_form"] <= 110
+
+
+def test_connectivity_flows_of_the_44_final_run_into_the_settled_vertices(monkeypatch):
+    # Phase 1 runs one flow from each unsettled non-neighbour j of v into
+    # the sink node 2n, and skips a j with kappa or more settled
+    # neighbours: 37 flows, then 10 between v's neighbours, in place of
+    # one flow per pair (68).
+    g = build_high_kappa_epsilon(4, 4).final  # a new graph, so nothing is memoized yet
+    flows = []
+    capped_flow = matchcover.structure._capped_flow
+
+    def counted(head, cap, arcs, source, sink, limit):
+        flows.append((source, sink))
+        return capped_flow(head, cap, arcs, source, sink, limit)
+
+    monkeypatch.setattr(matchcover.structure, "_capped_flow", counted)
+    assert matchcover.structure.vertex_connectivity(g) == 5
+    nbrs = g._adjacency()[1]
+    v = min(range(g.n), key=lambda i: len(nbrs[i]))
+    phase1 = [(s, t) for s, t in flows if (s - 1) // 2 not in nbrs[v]]
+    assert len(flows) <= 47 and len(phase1) == 37
+    assert flows[:len(phase1)] == phase1 and all(t == 2 * g.n for _, t in phase1)
+    assert all(t // 2 in nbrs[v] for _, t in flows[len(phase1):])
+
+
+def test_exhaustive_scan_refutes_most_shores_with_the_matchings_in_hand():
+    # Each construct-verify block is scanned fresh, with no cut memoized:
+    # a shore crossed twice by a perfect matching already found needs no
+    # query, so the 16 blocks take 74 queries (1,570 at one query per
+    # pair of cut edges).
+    queries = []
+    for p, q in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 3), (4, 4)):
+        for block in build_high_kappa_epsilon(p, q).blocks:
+            calls = _calls(_pm_minus.__code__, exhaustive_nontrivial_tight_cut, block)
+            queries.append(len(calls))
+            assert all(len(call["gone"]) == 4 for call in calls)
+    assert len(queries) == 16 and sum(queries) == 74
 
 
 def test_vertex_connectivity_is_exported():

@@ -341,10 +341,13 @@ def test_vertex_connectivity_small_cases():
         MultiGraph(2),
         MultiGraph(5, [(1, 2), (2, 3), (4, 5)]),
         MultiGraph(5, [(1, 2), (1, 2), (2, 3), (3, 1), (4, 5), (4, 5)]),
-    ] + [MultiGraph(n, combinations(range(1, n + 1), 2)) for n in range(3, 8)]
-    expected = [0, 1, 1, 0, 0, 0, 2, 3, 4, 5, 6]
+        MultiGraph(2, [(2, 1), (1, 2), (1, 2)]),
+        MultiGraph(9, list(combinations(range(1, 5), 2)) + list(combinations(range(5, 9), 2))),
+    ] + [MultiGraph(n, combinations(range(1, n + 1), 2)) for n in range(3, 9)]
+    expected = [0, 1, 1, 0, 0, 0, 1, 0, 2, 3, 4, 5, 6, 7]
     assert [vertex_connectivity(g) for g in cases] == expected
     assert [brute_vertex_connectivity(g) for g in cases] == expected
+    assert [even_vertex_connectivity(g) for g in cases] == expected
 
 
 def test_vertex_connectivity_agrees_with_brute_force():
@@ -447,6 +450,89 @@ def test_vertex_connectivity_runs_at_most_the_least_degree_bound_of_flows(monkey
     assert bound == 68
     assert len(flows) <= bound
     assert len(flows) == len(set(flows))
+
+
+def _blob_graph(
+    rng: random.Random, a: int, b: int, k: int, doubled: float, low: bool, dense: float = 0.8
+):
+    # Two dense blobs of a and b vertices, joined only through k
+    # separator vertices, then relabelled and the edges shuffled.  With
+    # `low` the first separator vertex meets just two vertices of each
+    # blob and no other separator vertex, so with complete blobs of six
+    # or more it is the one vertex of least degree, 4.
+    blobs = (range(a), range(a, a + b))
+    sep = range(a + b, a + b + k)
+    pairs = [p for blob in blobs for p in combinations(blob, 2) if rng.random() < dense]
+    for s in sep:
+        for blob in blobs:
+            reach = 2 if low and s == sep[0] else rng.randint(2, len(blob))
+            pairs += [(s, w) for w in rng.sample(blob, reach)]
+    pairs += [p for p in combinations(sep[low:], 2) if rng.random() < 0.3]
+    pairs += [p for p in pairs if rng.random() < doubled]
+    n = a + b + k
+    label = rng.sample(range(1, n + 1), n)
+    edges = [(label[u], label[w]) for u, w in pairs]
+    rng.shuffle(edges)
+    return MultiGraph(n, edges)
+
+
+def _phase1_drops(monkeypatch, g: MultiGraph) -> tuple[int, int]:
+    # kappa(g), and how many flows into the sink node 2n came back below
+    # the best the scan held when it started them.
+    drops = []
+    capped_flow = structure._capped_flow
+
+    def counted(head, cap, arcs, source, sink, limit):
+        flow = capped_flow(head, cap, arcs, source, sink, limit)
+        drops.append(sink == 2 * g.n and flow < limit)
+        return flow
+
+    monkeypatch.setattr(structure, "_capped_flow", counted)
+    kappa = vertex_connectivity(g)
+    monkeypatch.undo()
+    return kappa, sum(drops)
+
+
+def test_vertex_connectivity_agrees_with_brute_force_when_best_falls_mid_scan(monkeypatch):
+    # Least degree above the separator size, so kappa < delta and a flow
+    # into the settled vertices, not the first, lowers the best.
+    rng = random.Random(20261021)
+    below_delta = falls = 0
+    for trial in range(60):
+        k = rng.randint(1, 4)
+        a = rng.randint(4, 9 - k)
+        g = _blob_graph(rng, a, 14 - k - a, k, rng.choice((0.0, 0.2)), trial % 4 == 0)
+        kappa, drops = _phase1_drops(monkeypatch, g)
+        assert kappa == brute_vertex_connectivity(g) == even_vertex_connectivity(g), trial
+        delta = min(len(row) for row in g._adjacency()[1])
+        below_delta += kappa < delta
+        falls += drops > 0
+    assert below_delta >= 30 and falls >= 20
+
+
+def test_vertex_connectivity_agrees_with_even_scheme_on_joined_blobs():
+    rng = random.Random(20261022)
+    kappas = []
+    for trial in range(40):
+        k = rng.randint(1, 4)
+        g = _blob_graph(rng, rng.randint(5, 18), rng.randint(5, 18), k,
+                        rng.choice((0.0, 0.2)), trial % 4 == 0)
+        kappas.append(vertex_connectivity(g))
+        assert kappas[-1] == even_vertex_connectivity(g), trial
+    assert set(kappas) >= {1, 2, 3, 4}
+
+
+def test_vertex_connectivity_when_a_separator_holds_the_least_degree_vertex():
+    # Two K6 joined through k <= 2 separator vertices, the first meeting
+    # two vertices of each: blob vertices have degree 5 or more, so every
+    # vertex of least degree 4 lies in the separator, and kappa = k.
+    rng = random.Random(20261023)
+    for trial in range(20):
+        k = 1 + trial % 2
+        g = _blob_graph(rng, 6, 6, k, rng.choice((0.0, 0.2)), True, dense=1.0)
+        assert min(len(row) for row in g._adjacency()[1]) == 4
+        assert vertex_connectivity(g) == brute_vertex_connectivity(g) == k, trial
+        assert even_vertex_connectivity(g) == k
 
 
 @settings(max_examples=30, deadline=None)

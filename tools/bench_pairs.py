@@ -18,10 +18,20 @@ per-layer metrics are kept with their change-minus-parent deltas.
 
 The output holds every run (its result line), and per workload@seed and
 end-to-end metric each side's median and quartiles, the pairs the
-change won, the gap between the medians, and ``past_bound``: whether
-the change's median is worse than the parent's by more than the
-metric's ``BENCHMARK.json`` bound, taken as a share of the parent's
-median.  At the end one line per workload@seed run sums this up.
+change won, the gap between the medians, and three verdicts:
+
+- ``past_bound``: the change's median is worse than the parent's by more
+  than the metric's ``BENCHMARK.json`` bound, taken as a share of the
+  parent's median;
+- ``unresolved``: the parent's own runs spread wider than that bound
+  (their interquartile range is above bound x median), so a median
+  within the bound shows nothing, unless every change run beats every
+  parent run;
+- ``claim_met``: a gain may be claimed, as the change won at least nine
+  tenths of the pairs (ties count for neither side) and its median is
+  better than the parent's by more than the parent's interquartile range.
+
+At the end one line per workload@seed run sums this up.
 ``--append`` merges into an existing file, replacing only the
 workload@seed entries run again.
 """
@@ -88,17 +98,26 @@ def _summary(runs: list[dict], metrics: dict[str, dict]) -> dict:
         row["parent_iqr"] = row["parent"]["q3"] - row["parent"]["q1"]
         worse = sign * (row["change"]["median"] - row["parent"]["median"])
         row["past_bound"] = worse > spec["bound"] * abs(row["parent"]["median"])
+        separated = max(sign * c for c in value["change"]) < min(sign * p for p in value["parent"])
+        row["unresolved"] = (row["parent_iqr"] > spec["bound"] * abs(row["parent"]["median"])
+                             and not separated)
+        row["claim_met"] = 10 * wins >= 9 * row["pairs"] and -worse > row["parent_iqr"]
         out[name] = row
     return out
 
 
 def _summary_line(key: str, summary: dict) -> str:
-    """wall_s's medians and wins, and every metric past its bound."""
+    """wall_s's medians and wins, and the metrics past their bound,
+    unresolved, and with a gain that may be claimed."""
     wall = summary["wall_s"]
-    past = [name for name, row in summary.items() if row["past_bound"]]
+
+    def names(verdict: str) -> str:
+        return ", ".join(name for name, row in summary.items() if row[verdict]) or "none"
+
     return (f"{key}: wall_s {wall['parent']['median']:.4g} -> {wall['change']['median']:.4g} s, "
             f"change won {wall['change_wins']}/{wall['pairs']}; "
-            f"past bound: {', '.join(past) or 'none'}")
+            f"past bound: {names('past_bound')}; unresolved: {names('unresolved')}; "
+            f"claim met: {names('claim_met')}")
 
 
 def _parser() -> argparse.ArgumentParser:
