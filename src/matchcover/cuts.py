@@ -25,8 +25,9 @@ partition (all parts singletons).  A raw exhaustive odd-shore scan
 stays available as the cross-check authority; the certified search
 never falls back to it.  Tightness is refuted first by the perfect
 matchings already in hand, a memoized list per graph that every query
-which finds a matching extends, so most shores of the scan ask no query.  The first tight cut (read lazily), the whole
-candidate list, each decomposition leaf's canonical form and the default
+which finds a matching extends, so most shores of the scan ask no
+query.  The first tight cut (read lazily), the whole candidate list,
+each decomposition leaf's canonical form and the default
 decomposition are memoized per graph, and a cut's contractions and
 tightness per ``Cut``, so cut-choice strategies that pick the same
 candidate share the whole subtree below it.  A leaf's form is that of
@@ -116,10 +117,10 @@ def _is_tight(cut: Cut) -> bool:
         return False
     g = cut.graph
     index = g._adjacency()[0]
-    inside = [False] * g.n
-    for v in cut.shore:
-        inside[index[v]] = True
     shore = [index[v] for v in cut.shore]
+    inside = [False] * g.n
+    for i in shore:
+        inside[i] = True
     known = _known_pms(g)
     for match in known:
         if sum(not inside[match[i]] for i in shore) >= 2:
