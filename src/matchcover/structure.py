@@ -137,9 +137,9 @@ def _split_network(
     node, the sink T = 2n, gets an arc i_out -> T of capacity 0 from
     each vertex i, arc 2n + 2i; a flow into T opens the arcs of the
     vertices it may end at, and a flow that opens none sees the plain
-    split network.  Arc k
-    runs to ``head[k]`` with capacity ``cap[k]``; its residual partner
-    is arc ``k ^ 1``; ``arcs[x]`` lists the arcs leaving node x.
+    split network.  Arc k runs to ``head[k]`` with capacity ``cap[k]``;
+    its residual partner is arc ``k ^ 1``; ``arcs[x]`` lists the arcs
+    leaving node x.
     """
     n = len(nbrs)
     head: list[int] = []
@@ -237,8 +237,8 @@ def vertex_connectivity(g: MultiGraph) -> int:
 
     A j with at least ``best`` settled neighbours has a fan of ``best``
     one-edge paths, so it is settled with no flow.  On the (4,4)
-    construction final that leaves 47 flows, in place of the bound
-    (n - delta - 1) + delta*(delta - 1)/2 = 68 of one flow per pair.
+    construction final that leaves 47 flows, where one flow per pair
+    ran all (n - delta - 1) + delta*(delta - 1)/2 = 68.
     """
     n = g.n
     if n <= 1 or not g.is_connected:

@@ -459,7 +459,7 @@ def _blob_graph(
     # separator vertices, then relabelled and the edges shuffled.  With
     # `low` the first separator vertex meets just two vertices of each
     # blob and no other separator vertex, so with complete blobs of six
-    # or more it is the one vertex of least degree, 4.
+    # or more its degree, 4, is the least.
     blobs = (range(a), range(a, a + b))
     sep = range(a + b, a + b + k)
     pairs = [p for blob in blobs for p in combinations(blob, 2) if rng.random() < dense]
@@ -494,8 +494,8 @@ def _phase1_drops(monkeypatch, g: MultiGraph) -> tuple[int, int]:
 
 
 def test_vertex_connectivity_agrees_with_brute_force_when_best_falls_mid_scan(monkeypatch):
-    # Least degree above the separator size, so kappa < delta and a flow
-    # into the settled vertices, not the first, lowers the best.
+    # Mostly least degree above the separator size, so kappa < delta, and
+    # a flow into the settled vertices comes back below the best so far.
     rng = random.Random(20261021)
     below_delta = falls = 0
     for trial in range(60):
