@@ -117,14 +117,15 @@ def _is_tight(cut: Cut) -> bool:
         return False
     g = cut.graph
     index = g._adjacency()[0]
-    shore = [index[v] for v in cut.shore]
-    inside = [False] * g.n
-    for i in shore:
-        inside[i] = True
+    shore = {index[v] for v in cut.shore}
     known = _known_pms(g)
     for match in known:
-        if sum(not inside[match[i]] for i in shore) >= 2:
-            return False
+        crossed = 0
+        for i in shore:
+            if match[i] not in shore:
+                crossed += 1
+                if crossed == 2:
+                    return False
     edges = sorted(cut.edges)
     ends = {e: g.endpoints(e) for e in edges}
     for e1, e2 in combinations(edges[:-1], 2):
