@@ -23,8 +23,12 @@ matching, then one perfect matching through each edge that no earlier
 pool matching holds.  Each edge's witness signature records which pool
 matchings hold it.  An edge is admissible exactly when its signature is
 nonzero, which is how ``is_matching_covered`` reads a nonbipartite
-graph, and the dependence module refutes dependence between edges whose
-signatures differ.
+graph.  Past naming the inadmissible edge of a bipartite graph that
+is not matching covered, the pool serves nonbipartite graphs only: the
+dependence module refutes dependence between edges whose signatures
+differ, and removability tests a decomposition's brick leaves from it.
+A bipartite graph's classes are its even 2-cuts, found with no pool
+and no query.
 
 On a bipartite graph a perfect matching M also gives the matching
 digraph D(G, M), one node per vertex of a side and an arc a -> M(b) for

@@ -3,25 +3,25 @@ vertex connectivity.  The partition, the even 2-cuts and the
 connectivity are memoized per graph.  The canonical partition of a
 bipartite graph is its two colour classes, with no search; any other
 graph's takes one failed alternating search per part on the matching
-engine's cached perfect matching; the even 2-cuts are read off the
-equivalence classes,
-one ``components`` pass over g's adjacency minus each candidate pair (no
-graph is built), so both need a matching covered graph.  Connectivity
-follows Esfahanian and Hakimi, with unit-capacity flows on one
-vertex-split array network.  Take v of least degree delta.  Each vertex
-j not adjacent to v, taken breadth first from v, gets one flow into a
-sink joined to every vertex already settled (N(v) and the earlier j),
-or none when j has enough settled neighbours; then each nonadjacent
-pair of v's neighbours gets one.  That is at most
-(n - delta - 1) + delta*(delta - 1)/2 flows, each capped at the least
-value found so far."""
+engine's cached perfect matching.  The even 2-cuts are the pairs of
+``dependence._even_cut_groups``, from one spanning-tree pass with no
+matching query, each checked by one ``components`` pass over g's
+adjacency minus the pair (no graph is built).  Both need a matching
+covered graph.  Connectivity follows Esfahanian and Hakimi, with
+unit-capacity flows on one vertex-split array network.  Take v of least
+degree delta.  Each vertex j not adjacent to v, taken breadth first
+from v, gets one flow into a sink joined to every vertex already
+settled (N(v) and the earlier j), or none when j has enough settled
+neighbours; then each nonadjacent pair of v's neighbours gets one.
+That is at most (n - delta - 1) + delta*(delta - 1)/2 flows, each
+capped at the least value found so far."""
 
 from __future__ import annotations
 
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .dependence import equivalence_partition
+from .dependence import _even_cut_groups
 from .errors import DomainError, VerificationError
 from .matching import _augment, _engine, _require_mc, is_matching_covered
 from .multigraph import Cut, MultiGraph, _memoized
@@ -95,22 +95,21 @@ def even_2cuts(g: MultiGraph) -> list[Cut]:
 
 @_memoized
 def _even_2cuts(g: MultiGraph) -> tuple[Cut, ...]:
-    # A perfect matching meets an even cut in an even number of edges, so
-    # the two edges of an even 2-cut are mutually dependent: candidates
-    # come from pairs inside one equivalence class.  Such a pair shares a
-    # perfect matching, so it is nonadjacent and crosses no odd cut, and
-    # g is 2-edge-connected, so a disconnected g - e - f has two shores
-    # with both edges between them: the pair is an even 2-cut exactly
-    # when g - e - f is disconnected.  The first component is the shore
+    # Two edges of one even-cut group are an even 2-cut: both shores of
+    # the cut are even, as g is.  Each pair is checked by one components
+    # pass over g's adjacency minus the pair, which also gives the shore:
+    # g - e - f must fall into exactly two even components with e and f
+    # between them, and the edges must be nonadjacent, as the two edges
+    # of an even cut of a matching covered graph are mutually dependent
+    # and share a perfect matching.  The first component is the shore
     # with the lower minimum vertex.
+    _require_mc(g, "even 2-cuts")
     pairs = sorted(
-        pair for cls in equivalence_partition(g) for pair in combinations(sorted(cls), 2)
+        pair for group in _even_cut_groups(g) for pair in combinations(sorted(group), 2)
     )
     out: list[Cut] = []
     for e, f in pairs:
         comps = g.components(without=(e, f))
-        if len(comps) == 1:
-            continue
         shore = comps[0]
         (a, b), (c, d) = g.endpoints(e), g.endpoints(f)
         if (

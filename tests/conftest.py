@@ -92,6 +92,26 @@ def random_nonbipartite_mc_graph(rng: random.Random, n: int, extra: int) -> Mult
     return g
 
 
+def bipartite_mc_inputs() -> list[MultiGraph]:
+    """Bipartite matching covered graphs for the even-cut tests: 210
+    seeded random_mc_graph graphs, every third with one edge doubled;
+    K2 with 2 and with 3 parallel edges; K_{k,k} for k <= 5, with and
+    without a doubled edge; and the even cycles C4 .. C16."""
+    rng = random.Random(2929)
+    graphs = []
+    for i in range(210):
+        g = random_mc_graph(rng, rng.choice((4, 6, 8, 10, 12)), rng.randrange(10))
+        if i % 3 == 0:
+            g = g.add_edge(*g.endpoints(rng.choice(g.edge_ids)))[0]
+        graphs.append(g)
+    graphs += [MultiGraph(2, [(1, 2)] * copies) for copies in (2, 3)]
+    for k in range(1, 6):
+        complete = MultiGraph(2 * k, [(i, k + j) for i in range(1, k + 1) for j in range(1, k + 1)])
+        graphs += [complete, complete.add_edge(1, k + 1)[0]]
+    graphs += [MultiGraph(n, [(i, i % n + 1) for i in range(1, n + 1)]) for n in range(4, 17, 2)]
+    return graphs
+
+
 def random_splice(rng: random.Random, g1: MultiGraph, g2: MultiGraph) -> MultiGraph:
     v1 = rng.choice(g1.vertices)
     degree = len(g1.boundary({v1}))

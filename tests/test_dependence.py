@@ -49,6 +49,7 @@ from _oracles import (
 )
 from conftest import (
     _CORPUS,
+    bipartite_mc_inputs,
     corpus_params,
     gen,
     gen_graph,
@@ -129,6 +130,14 @@ def test_parallel_edges_are_mutually_dependent_nowhere():
     g, e = named_graph("C4").add_edge(1, 2)
     assert not depends_on(g, 1, e)
     assert not depends_on(g, e, 1)
+
+
+def test_bipartite_partition_agrees_with_pairwise_tests():
+    # A bipartite matching covered graph's classes are its even-cut
+    # groups; the corpus adds nonbipartite graphs, whose classes are
+    # unions of groups.
+    for g in bipartite_mc_inputs() + [g for _, g in _CORPUS]:
+        assert equivalence_partition(g).classes == pairwise_equivalence_partition(g).classes, g
 
 
 @pytest.mark.parametrize("g", corpus_params())
@@ -554,8 +563,10 @@ def test_depends_on_agrees_with_the_definition_on_every_ordered_pair():
 
 
 def test_grouped_partition_asks_what_the_whole_list_scan_asks(monkeypatch):
-    # Grouping the edges by witness signature first gives the same
-    # classes, in the same order, from the same _depends questions.
+    # Grouping the edges by even 2-cut and then by witness signature
+    # gives the same classes, in the same order, from a part of the
+    # _depends questions that the whole-list scan asks, and from none on
+    # a bipartite graph, whose classes are its even-cut groups.
     rng = random.Random(2729)
     graphs = [g for _, g in _CORPUS] + sparse_mc_graphs(18) + [
         random_nonbipartite_mc_graph(rng, rng.choice((8, 10, 12)), rng.randrange(4, 14))
@@ -569,16 +580,19 @@ def test_grouped_partition_asks_what_the_whole_list_scan_asks(monkeypatch):
         return depends(g, e, f)
 
     monkeypatch.setattr(matchcover.dependence, "_depends", spy)
-    joined = 0
+    joined = bipartite = 0
     for g in graphs:
         calls.clear()
         grouped = equivalence_partition.__wrapped__(g)
         asked = collections.Counter(calls)
         calls.clear()
         assert grouped.classes == scan_equivalence_partition(g).classes
-        assert asked == collections.Counter(calls)
+        assert not asked - collections.Counter(calls)
+        if g.is_bipartite:
+            assert not asked
+            bipartite += 1
         joined += any(len(c) > 1 for c in grouped)
-    assert joined >= 10
+    assert joined >= 10 and bipartite >= 5
 
 @pytest.mark.parametrize("name", ["C6", "C6bar", "K4+parallel", "prism3"])
 def test_depends_is_one_matching_query(name):

@@ -346,20 +346,22 @@ def test_even_2cuts_build_no_graph(name):
 
 
 def test_signature_pool_is_built_once_and_shared():
-    # The matching-covered verdict, the partition, every class_of and
-    # removability all read one pool, built for g and for no g - e.
-    g = named_graph("prism4")
+    # On a nonbipartite graph the matching-covered verdict, the
+    # partition, every class_of and removability all read one pool,
+    # built for g and for no g - e.  The bipartite prism4 builds none.
+    for name, count in (("prism5", 1), ("prism4", 0)):
+        g = named_graph(name)
 
-    def run():
-        assert is_matching_covered(g)
-        classes = equivalence_partition(g)
-        for e in g.edge_ids:
-            assert class_of(g, e) == classes.class_of(e)
-        removable_edges(g)
-        removable_classes(g)
+        def run():
+            assert is_matching_covered(g)
+            classes = equivalence_partition(g)
+            for e in g.edge_ids:
+                assert class_of(g, e) == classes.class_of(e)
+            removable_edges(g)
+            removable_classes(g)
 
-    pools = _calls(_signatures.__wrapped__.__code__, run)
-    assert [call["g"] for call in pools] == [g]
+        pools = _calls(_signatures.__wrapped__.__code__, run)
+        assert [call["g"] for call in pools] == [g] * count, name
 
 
 @pytest.mark.parametrize("name", [name for name, _ in _CORPUS])
@@ -556,6 +558,22 @@ def test_bipartite_verdict_asks_no_matching_query(name):
     fresh = MultiGraph.with_ids(g.vertices, dict(g.edge_items()))
     assert _calls(_pm_minus.__code__, is_matching_covered, fresh) == []
     assert is_matching_covered(fresh)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, g in _CORPUS if g.is_bipartite and is_matching_covered(g)]
+)
+@pytest.mark.parametrize(
+    "query",
+    [equivalence_partition, lambda h: [class_of(h, e) for e in h.edge_ids], even_2cuts],
+    ids=["equivalence_partition", "class_of", "even_2cuts"],
+)
+def test_bipartite_classes_build_no_pool_and_ask_no_query(name, query):
+    # A bipartite graph's classes and even 2-cuts are its even-cut
+    # groups, from one spanning-tree pass.
+    g = dict(_CORPUS)[name]
+    assert _calls(_signatures.__wrapped__.__code__, query, _fresh(g)) == []
+    assert _calls(_pm_minus.__code__, query, _fresh(g)) == []
 
 
 def test_brace_test_refuses_a_failed_augmentation(monkeypatch):

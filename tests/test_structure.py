@@ -28,6 +28,7 @@ from _oracles import (
 )
 from conftest import (
     _CORPUS,
+    bipartite_mc_inputs,
     corpus_params,
     random_mc_graph,
     random_nonbipartite_mc_graph,
@@ -253,14 +254,19 @@ def test_even_2cuts_shores_even():
             assert len(cut.edges) == 2
 
 
-@pytest.mark.parametrize("cls", [{1, 4}, {1, 2}], ids=["odd-shores", "adjacent"])
-def test_even_2cuts_refuse_a_pair_that_contradicts_the_theorem(monkeypatch, cls):
-    # Two edges of one class cut g into two even shores whenever g minus
-    # both is disconnected.  A false class whose pair cuts C6 into odd
-    # shores, or whose edges share an end, is an error, not a skipped pair.
-    monkeypatch.setattr(structure, "equivalence_partition", lambda g: [frozenset(cls)])
+@pytest.mark.parametrize(
+    "name, cls",
+    [("C6", {1, 4}), ("C6", {1, 2}), ("K4", {1, 6})],
+    ids=["odd-shores", "adjacent", "connected"],
+)
+def test_even_2cuts_refuse_a_pair_that_contradicts_the_theorem(monkeypatch, name, cls):
+    # Two edges of one even-cut group cut g into two even shores.  A
+    # false group whose pair cuts C6 into odd shores, whose edges share
+    # an end, or which leaves K4 connected, is an error, not a skipped
+    # pair.
+    monkeypatch.setattr(structure, "_even_cut_groups", lambda g: [frozenset(cls)])
     with pytest.raises(VerificationError, match="even-2-cuts"):
-        even_2cuts(named_graph("C6"))
+        even_2cuts(named_graph(name))
 
 
 def _assert_even_2cuts_match_brute_force(g):
@@ -298,6 +304,19 @@ def test_even_2cuts_agree_with_brute_force_on_random_graphs():
             with_cuts += 1
             doubled_with_cuts += i % 4 >= 2
     assert with_cuts >= 10 and doubled_with_cuts >= 3
+
+
+def test_even_2cuts_agree_with_brute_force_on_bipartite_and_nonbipartite_graphs():
+    # The pairs of each even-cut group, against every edge pair deleted.
+    rng = random.Random(2930)
+    nonbipartite = [
+        random_nonbipartite_mc_graph(rng, rng.choice((6, 8, 10, 12)), rng.randrange(6))
+        for _ in range(110)
+    ]
+    with_cuts = 0
+    for g in bipartite_mc_inputs() + nonbipartite:
+        with_cuts += bool(_assert_even_2cuts_match_brute_force(g))
+    assert with_cuts >= 100
 
 
 def test_even_2cuts_need_a_matching_covered_graph():
